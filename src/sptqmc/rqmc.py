@@ -12,6 +12,14 @@ balance check).
 Energy comes from the two end beads by head-tail symmetry of the path
 distribution; general observables come from the middle bead, where both
 path halves act as projectors.
+
+For a 1-d GaussianTrial in the harmonic, quartic or double-well
+potential (every system the command line builds), the Langevin
+proposal, the equilibration walk and W run as float closures from
+walker.scalar_langevin instead of numpy on one-element arrays.  That
+path is bitwise equal to the numpy one and draws the same random
+stream, so it changes speed only; beads stay shape-(1,) arrays.  Other
+trials and potentials keep the numpy closures.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from .walker import (
     local_energy,
     log_transition_density,
     derive_rng,
+    scalar_langevin,
 )
 
 
@@ -133,13 +142,23 @@ def init_reptile(
         start = rng.normal(0.0, trial.equilibrium_sigma(), size=dim)
     else:
         start = np.zeros(dim)
-    state = init_walker(trial, potential, start, epsilon, rng)
-    for _ in range(equilibration_steps):
-        langevin_step(state)
     positions = np.empty((n_beads, dim))
-    for i in range(n_beads):
-        langevin_step(state)
-        positions[i] = state.position
+    scalar = scalar_langevin(trial, potential, epsilon)
+    if scalar is not None:
+        step = scalar[1]
+        x = float(start[0])
+        for _ in range(equilibration_steps):
+            x = step(x, rng.standard_normal())
+        for i in range(n_beads):
+            x = step(x, rng.standard_normal())
+            positions[i, 0] = x
+    else:
+        state = init_walker(trial, potential, start, epsilon, rng)
+        for _ in range(equilibration_steps):
+            langevin_step(state)
+        for i in range(n_beads):
+            langevin_step(state)
+            positions[i] = state.position
     ws = np.asarray(local_energy(trial, potential, positions), dtype=float)
     return Reptile(
         beads=(positions[i].copy() for i in range(n_beads)),
@@ -190,13 +209,24 @@ class ReptationSampler:
         proposal_correction: bool = False,
     ) -> "ReptationSampler":
         eps = reptile.epsilon
-        sqrt_eps = math.sqrt(eps)
+        scalar = scalar_langevin(trial, potential, eps)
+        if scalar is not None and np.shape(reptile.head) == (1,):
+            w_scalar, step = scalar
 
-        def w_fn(pos):
-            return float(local_energy(trial, potential, pos))
+            def w_fn(pos):
+                return w_scalar(pos.item())
 
-        def propose_fn(rng_, end):
-            return end + (0.5 * eps) * drift(trial, end) + rng_.normal(0.0, sqrt_eps, size=end.shape)
+            def propose_fn(rng_, end):
+                return np.array((step(end.item(), rng_.standard_normal()),))
+
+        else:
+            sqrt_eps = math.sqrt(eps)
+
+            def w_fn(pos):
+                return float(local_energy(trial, potential, pos))
+
+            def propose_fn(rng_, end):
+                return end + (0.5 * eps) * drift(trial, end) + rng_.normal(0.0, sqrt_eps, size=end.shape)
 
         return cls(
             reptile,

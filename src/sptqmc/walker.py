@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .estimators import LocalEnergySeries
 
@@ -200,6 +199,54 @@ def langevin_step(state: WalkerState, rng: np.random.Generator | None = None, no
     return state
 
 
+def scalar_langevin(trial, potential, epsilon: float):
+    """Float closures (w, step) for a 1-d Gaussian trial in a built-in potential.
+
+    w(x) is the local energy at x and step(x, z) one Langevin step driven
+    by a standard normal z.  Each performs the floating-point operations
+    of local_energy and langevin_step on a shape-(1,) position in the same
+    order, so the results are bitwise equal, and drawing z with
+    rng.standard_normal() consumes the stream exactly as
+    rng.normal(0.0, sqrt(eps), size=(1,)) does.  They skip the numpy
+    overhead of one-element arrays in per-step loops.  Returns None for
+    any other trial or potential, which keep the numpy code.
+    """
+    if type(trial) is not GaussianTrial or trial.dim != 1:
+        return None
+    if type(potential) is HarmonicPotential:
+        def v(x):
+            return 0.5 * (x * x)
+    elif type(potential) is QuarticPotential:
+        coupling = potential.quartic_coupling
+
+        def v(x):
+            sq = x * x
+            return 0.5 * sq + coupling * (sq * sq)
+    elif type(potential) is DoubleWellPotential:
+        barrier, scale2 = potential.barrier, potential.half_separation**2
+
+        def v(x):
+            # a power, not a product: on one position numpy squares a
+            # scalar with pow(), which rounds differently from t * t
+            return barrier * ((x * x) / scale2 - 1.0) ** 2
+    else:
+        return None
+
+    neg_alpha = -trial.alpha
+    half_lap = 0.5 * neg_alpha
+    epsilon = float(epsilon)
+    half_eps, sqrt_eps = 0.5 * epsilon, math.sqrt(epsilon)
+
+    def w(x):
+        g = neg_alpha * x
+        return (v(x) - 0.5 * (g * g)) - half_lap
+
+    def step(x, z):
+        return (x + half_eps * (2.0 * (neg_alpha * x))) + (0.0 + sqrt_eps * z)
+
+    return w, step
+
+
 def transition_density(state: WalkerState, r_from: np.ndarray, r_to: np.ndarray) -> float:
     """Gaussian density of the Langevin proposal r_from -> r_to."""
     return math.exp(log_transition_density(state.trial, state.epsilon, r_from, r_to))
@@ -256,7 +303,9 @@ def sample_local_energy_series(
     the linear recursion x' = (1 - eps alpha) x + eta is evaluated per
     coordinate by scipy.signal.lfilter, which keeps the multi-million
     step calibration runs in the sub-second range; the noise stream and
-    therefore the statistics match the generic loop.
+    therefore the statistics match the generic loop.  lfilter is imported
+    in that branch only: scipy.signal pulls in scipy.stats, which would
+    otherwise be most of the time `import sptqmc` takes.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -275,6 +324,8 @@ def sample_local_energy_series(
 
     total = burn_in + steps
     if isinstance(trial, GaussianTrial):
+        from scipy.signal import lfilter
+
         decay = 1.0 - epsilon * trial.alpha
         noise = rng.normal(0.0, math.sqrt(epsilon), size=(total, dim))
         # AR(1) per coordinate seeded with the initial position

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from sptqmc import rqmc
 from sptqmc import (
+    DoubleWellPotential,
     EstimateWithError,
     GaussianTrial,
     HarmonicPotential,
@@ -21,6 +23,9 @@ from sptqmc import (
     energy_estimator,
     extrapolate_linear,
     init_reptile,
+    drift,
+    init_walker,
+    langevin_step,
     link_action,
     local_energy,
     pure_estimator,
@@ -523,3 +528,88 @@ class TestExtrapolation:
         same = EstimateWithError(mean=0.5, std_error=0.01,
                                  autocorr_time=1.0, effective_samples=100.0)
         assert extrapolate_linear(same, same).mean == pytest.approx(0.5, abs=1e-15)
+
+
+KERNEL_SYSTEMS = {
+    "harmonic": (GaussianTrial(1.2), HarmonicPotential()),
+    "quartic": (GaussianTrial(1.22), QuarticPotential(0.1)),
+    "doublewell": (GaussianTrial(0.9), DoubleWellPotential(1.0, 1.0)),
+}
+
+
+def reference_init_reptile(trial, pot, n_beads, eps, rng, equilibration_steps):
+    """init_reptile written with the numpy langevin_step, one call per step."""
+    start = rng.normal(0.0, trial.equilibrium_sigma(), size=trial.dim)
+    state = init_walker(trial, pot, start, eps, rng)
+    for _ in range(equilibration_steps):
+        langevin_step(state)
+    positions = np.empty((n_beads, trial.dim))
+    for i in range(n_beads):
+        langevin_step(state)
+        positions[i] = state.position
+    return positions, local_energy(trial, pot, positions)
+
+
+def numpy_sampler(trial, pot, beads, eps, rng, policy):
+    """The creep kernel on numpy W and the numpy Langevin proposal."""
+    sqrt_eps = math.sqrt(eps)
+    return ReptationSampler.from_functions(
+        w_fn=lambda pos: float(local_energy(trial, pot, pos)),
+        propose_fn=lambda rng_, end: end + (0.5 * eps) * drift(trial, end) + rng_.normal(0.0, sqrt_eps, size=end.shape),
+        beads=beads,
+        epsilon=eps,
+        rng=rng,
+        direction_policy=policy,
+    )
+
+
+class TestScalarKernel:
+    """for_system's float closures leave the kernel and its random stream unchanged."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SYSTEMS))
+    def test_init_reptile_matches_langevin_loop(self, name):
+        trial, pot = KERNEL_SYSTEMS[name]
+        rng, ref_rng = derive_rng(21, "init"), derive_rng(21, "init")
+        r = init_reptile(trial, pot, 40, 0.05, rng, equilibration_steps=300)
+        positions, ws = reference_init_reptile(trial, pot, 40, 0.05, ref_rng, 300)
+        assert np.array_equal(np.array(r.beads), positions)
+        assert list(r.w_values) == ws.tolist()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("policy", ["bounce", "random"])
+    @pytest.mark.parametrize("name", sorted(KERNEL_SYSTEMS))
+    def test_for_system_matches_numpy_kernel(self, name, policy):
+        trial, pot = KERNEL_SYSTEMS[name]
+        eps = 0.05
+        beads = list(init_reptile(trial, pot, 30, eps, derive_rng(22, "beads"), equilibration_steps=200).beads)
+        rng, ref_rng = derive_rng(23, name, 1), derive_rng(23, name, 1)
+        ref = numpy_sampler(trial, pot, [b.copy() for b in beads], eps, ref_rng, policy)
+        start = Reptile([b.copy() for b in beads], list(ref.reptile.w_values), eps)
+        fast = ReptationSampler.for_system(trial, pot, start, rng, direction_policy=policy)
+        for _ in range(3000):
+            assert fast.move() == ref.move()
+        a, b = fast.reptile, ref.reptile
+        assert np.array_equal(np.array(a.beads), np.array(b.beads))
+        assert all(bead.shape == (1,) for bead in a.beads)
+        assert list(a.w_values) == list(b.w_values)
+        assert list(a.link_actions) == list(b.link_actions)
+        assert a.total_action == b.total_action
+        assert a.direction == b.direction
+        assert (fast.moves_proposed, fast.moves_accepted) == (ref.moves_proposed, ref.moves_accepted)
+        assert 0 < fast.moves_accepted < fast.moves_proposed
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_for_system_takes_scalar_path(self, monkeypatch):
+        trial, pot = KERNEL_SYSTEMS["quartic"]
+        rng = derive_rng(24, "path")
+        r = init_reptile(trial, pot, 20, 0.05, rng, equilibration_steps=50)
+
+        def numpy_path(*args):
+            raise AssertionError("numpy closure called")
+
+        monkeypatch.setattr(rqmc, "local_energy", numpy_path)
+        monkeypatch.setattr(rqmc, "drift", numpy_path)
+        sampler = ReptationSampler.for_system(trial, pot, r, rng)
+        for _ in range(100):
+            sampler.move()
+        assert sampler.reptile.audit_links(sampler.w_fn) < 1e-12

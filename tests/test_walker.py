@@ -1,9 +1,13 @@
 """Langevin walker: drift, local energy, propagation, and sampling laws."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from sptqmc.walker import (
@@ -20,6 +24,7 @@ from sptqmc.walker import (
     langevin_step,
     local_energy,
     sample_local_energy_series,
+    scalar_langevin,
     transition_density,
 )
 
@@ -303,3 +308,69 @@ class TestSeriesSampling:
             )
         with pytest.raises(ValueError):
             init_walker(t, HarmonicPotential(), [0.0], epsilon=0.0)
+
+
+SCALAR_SYSTEMS = [
+    (GaussianTrial(1.2), HarmonicPotential()),
+    (GaussianTrial(1.22), QuarticPotential(0.1)),
+    (GaussianTrial(0.9), DoubleWellPotential(1.3, 0.8)),
+]
+POSITIONS = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+NORMALS = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
+
+
+class TestScalarLangevin:
+    """The float closures must reproduce the numpy code to the last bit."""
+
+    @pytest.mark.parametrize("trial, pot", SCALAR_SYSTEMS, ids=["harmonic", "quartic", "doublewell"])
+    @settings(max_examples=300, deadline=None)
+    @given(x=POSITIONS)
+    @example(x=0.0)
+    @example(x=-0.0)
+    @example(x=-0.8)
+    @example(x=-1.906)  # doublewell: pow(t, 2) != t * t here
+    @example(x=-10.0)
+    @example(x=9.999999999999998)
+    def test_w_equals_local_energy(self, trial, pot, x):
+        w, _ = scalar_langevin(trial, pot, 0.05)
+        assert w(x) == local_energy(trial, pot, np.array([x]))[()]
+
+    @pytest.mark.parametrize("trial, pot", SCALAR_SYSTEMS, ids=["harmonic", "quartic", "doublewell"])
+    @settings(max_examples=300, deadline=None)
+    @given(x=POSITIONS, z=NORMALS)
+    @example(x=0.0, z=0.0)
+    @example(x=-0.0, z=-0.0)
+    @example(x=-7.5, z=1.3)
+    def test_step_equals_langevin_step(self, trial, pot, x, z):
+        eps = 0.025
+        _, step = scalar_langevin(trial, pot, eps)
+        state = init_walker(trial, pot, np.array([x]), eps)
+        langevin_step(state, noise=np.array([0.0 + math.sqrt(eps) * z]))
+        assert step(x, z) == state.position[0]
+
+    def test_standard_normal_matches_scaled_normal(self):
+        # step(x, z) draws z with standard_normal; the numpy code draws
+        # normal(0, sqrt(eps)) -- the same stream and the same value
+        a, b = derive_rng(1, "draws"), derive_rng(1, "draws")
+        s = math.sqrt(0.05)
+        for _ in range(2000):
+            assert 0.0 + s * a.standard_normal() == b.normal(0.0, s, size=(1,))[0]
+
+    def test_other_systems_keep_numpy(self):
+        pot = HarmonicPotential()
+        assert scalar_langevin(GaussianTrial(1.0, dim=2), pot, 0.1) is None
+        assert scalar_langevin(wrap_generic(GaussianTrial(1.0)), pot, 0.1) is None
+
+        class Shifted(HarmonicPotential):
+            def __call__(self, positions):
+                return super().__call__(positions) + 1.0
+
+        assert scalar_langevin(GaussianTrial(1.0), Shifted(), 0.1) is None
+
+
+class TestImportCost:
+    def test_import_leaves_scipy_signal_unloaded(self):
+        code = "import sys, sptqmc, sptqmc.cli; print('scipy.signal' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
