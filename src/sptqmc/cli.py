@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import metadata
 
 import numpy as np
@@ -279,8 +279,12 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
     The subcommand is taken from the argument, else from a `subcommand`
     key, else inferred from which signature keys appear.
     """
-    entries = _raw_entries(text)
-    given = {key: value for key, (value, _) in entries.items()}
+    given = {key: value for key, (value, _) in _raw_entries(text).items()}
+    return _config_from(given, subcommand)
+
+
+def _config_from(given: dict, subcommand: str | None) -> RunConfig:
+    """Validated RunConfig from parsed keys; the one path every config takes."""
     sub = subcommand or given.get("subcommand") or _infer_subcommand(set(given))
     if sub not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand '{sub}'{_suggest(str(sub), SUBCOMMANDS)}")
@@ -441,18 +445,22 @@ def _run_spectral(config: RunConfig) -> tuple[dict, list[str]]:
 
 
 def _obtain_series(params: dict, seed: int, worker: int = 0) -> estimators.LocalEnergySeries:
+    """Worker's series, read from `series` or sampled; worker 0 saves it to `series_out`."""
     if params.get("series"):
-        return read_series_csv(params["series"])
-    trial, potential = _build_trial_potential(params)
-    rng = walker.derive_rng(seed, "vmc-chain", worker)
-    return walker.sample_local_energy_series(
-        trial,
-        potential,
-        epsilon=params["epsilon"],
-        steps=params["steps"],
-        burn_in=params["burn_in"],
-        rng=rng,
-    )
+        series = read_series_csv(params["series"])
+    else:
+        trial, potential = _build_trial_potential(params)
+        series = walker.sample_local_energy_series(
+            trial,
+            potential,
+            epsilon=params["epsilon"],
+            steps=params["steps"],
+            burn_in=params["burn_in"],
+            rng=walker.derive_rng(seed, "vmc-chain", worker),
+        )
+    if worker == 0 and params.get("series_out"):
+        write_series_csv(params["series_out"], series)
+    return series
 
 
 def _run_vmc(config: RunConfig) -> tuple[dict, list[str]]:
@@ -460,10 +468,7 @@ def _run_vmc(config: RunConfig) -> tuple[dict, list[str]]:
     workers = params["workers"] if not params.get("series") else 1
     chains = []
     for w in range(workers):
-        series = _obtain_series(params, config.seed, w)
-        chains.append(estimators.vmc_estimate(series))
-        if w == 0 and params.get("series_out"):
-            write_series_csv(params["series_out"], series)
+        chains.append(estimators.vmc_estimate(_obtain_series(params, config.seed, w)))
     merged = estimators.merge_estimates(chains)
     results = {
         "energy": _estimate_dict(merged),
@@ -676,20 +681,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             text = handle.read()
-    entries = _raw_entries(text)
-    given = {key: value for key, (value, _) in entries.items()}
+    given = {key: value for key, (value, _) in _raw_entries(text).items()}
     for key in ("order", "sum_over_states", "model", "oracle"):
         value = getattr(args, key, None)
         if value is not None:
             given[key] = value
-    sub = args.subcommand
-    seed_in_config = given.get("seed", 0)
-    if isinstance(seed_in_config, bool) or not isinstance(seed_in_config, int):
-        raise ConfigError(f"seed must be an integer, got {seed_in_config!r}")
-    params = validate_parameters(sub, given)
-    seed = _resolve_seed(args.seed, seed_in_config)
-    output = args.output if args.output is not None else given.get("output")
-    return RunConfig(subcommand=sub, parameters=params, seed=seed, output_path=output)
+    config = _config_from(given, args.subcommand)
+    output = args.output if args.output is not None else config.output_path
+    return replace(config, seed=_resolve_seed(args.seed, config.seed), output_path=output)
 
 
 _CONFIG_ERRORS = (

@@ -131,13 +131,18 @@ def blocking_levels(values: np.ndarray, min_blocks: int = 32) -> list[tuple[int,
     return levels
 
 
-def _blocking_plateau(levels: list[tuple[int, float, float]]) -> float:
-    """First level where doubling blocks stops growing the variance.
+def blocking_error(values: np.ndarray, min_blocks: int = 32) -> tuple[float, bool]:
+    """Squared error of the mean from the blocking table, and whether it plateaued.
 
-    A rise counts only when it exceeds twice the combined uncertainty of
-    the two levels; deep levels carry ~20% noise, and a one-sigma test
-    rejects genuine plateaus on healthy series.
+    The plateau is the first level where doubling the blocks stops
+    growing the variance.  A rise counts only when it exceeds twice the
+    combined uncertainty of the two levels; deep levels carry ~20% noise,
+    and a one-sigma test rejects genuine plateaus on healthy series.
+    Without a plateau the largest level is returned with plateau=False.
     """
+    levels = blocking_levels(values, min_blocks)
+    if not levels:
+        raise SeriesTooShortError(f"need at least {min_blocks} samples for blocking")
     for k in range(len(levels) - 1):
         _, sem2, err = levels[k]
         _, sem2_next, err_next = levels[k + 1]
@@ -149,10 +154,8 @@ def _blocking_plateau(levels: list[tuple[int, float, float]]) -> float:
             _, sem2_after, err_after = levels[k + 2]
             if sem2_after > sem2_next + 2.0 * math.hypot(err_next, err_after):
                 continue
-        return max(sem2, sem2_next)
-    raise SeriesTooShortError(
-        "no blocking plateau: series too short for its correlation time"
-    )
+        return max(sem2, sem2_next), True
+    return max(level[1] for level in levels), False
 
 
 def _integrated_autocorr_steps(x: np.ndarray, window_factor: float) -> tuple[float, int]:
@@ -185,7 +188,11 @@ def vmc_estimate(series: LocalEnergySeries) -> EstimateWithError:
     mean = float(np.mean(x))
     if np.var(x) == 0.0:
         return EstimateWithError(mean=mean, std_error=0.0, autocorr_time=0.0, effective_samples=float(n))
-    sem2 = _blocking_plateau(blocking_levels(x))
+    sem2, plateau = blocking_error(x)
+    if not plateau:
+        raise SeriesTooShortError(
+            "no blocking plateau: series too short for its correlation time"
+        )
     tau_steps, _ = _integrated_autocorr_steps(x, window_factor=6.0)
     return EstimateWithError(
         mean=mean,
@@ -199,13 +206,17 @@ def vmc_estimate(series: LocalEnergySeries) -> EstimateWithError:
 # autocovariance and the second-order integral
 
 
-def autocovariance(values: np.ndarray, max_lag: int) -> np.ndarray:
-    """Empirical autocovariance c(0..max_lag), FFT-based, 1/N normalized."""
+def autocovariance(values: np.ndarray, max_lag: int, mean: float | None = None) -> np.ndarray:
+    """Empirical autocovariance c(0..max_lag), FFT-based, 1/N normalized.
+
+    Deviations are taken about mean when given (a pooled mean shared by
+    several segments), else about the series' own mean.
+    """
     x = np.asarray(values, dtype=float)
     n = x.size
     if max_lag >= n:
         raise ValueError(f"max_lag {max_lag} must be below the series length {n}")
-    xc = x - x.mean()
+    xc = x - (x.mean() if mean is None else mean)
     m = next_fast_len(2 * n)
     f = rfft(xc, m)
     acov = irfft(f * np.conj(f), m)[: max_lag + 1]
@@ -247,7 +258,7 @@ def autocorrelation_integral(
     values = []
     for b in range(batches):
         seg = x[b * length : (b + 1) * length]
-        cb = _autocov_about(seg, mean, kstar)
+        cb = autocovariance(seg, kstar, mean=mean)
         values.append(float(-eps * (0.5 * cb[0] + np.sum(cb[1:]))))
     err = float(np.std(values, ddof=1) / math.sqrt(batches))
     return EstimateWithError(
@@ -256,15 +267,6 @@ def autocorrelation_integral(
         autocorr_time=tau_steps * eps,
         effective_samples=n / (2.0 * tau_steps),
     )
-
-
-def _autocov_about(segment: np.ndarray, mean: float, max_lag: int) -> np.ndarray:
-    """Autocovariance of a segment about a pooled (not per-segment) mean."""
-    xc = segment - mean
-    n = xc.size
-    m = next_fast_len(2 * n)
-    f = rfft(xc, m)
-    return irfft(f * np.conj(f), m)[: max_lag + 1] / n
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,10 @@ Energy comes from the two end beads by head-tail symmetry of the path
 distribution; general observables come from the middle bead, where both
 path halves act as projectors.
 
-For a 1-d GaussianTrial in the harmonic, quartic or double-well
-potential (every system the command line builds), the Langevin
-proposal, the equilibration walk and W run as float closures from
-walker.scalar_langevin instead of numpy on one-element arrays.  That
-path is bitwise equal to the numpy one and draws the same random
-stream, so it changes speed only; beads stay shape-(1,) arrays.  Other
-trials and potentials keep the numpy closures.
+The Langevin proposal, the equilibration walk and W come from
+walker.langevin_kernel, which decides between float closures (a 1-d
+GaussianTrial in a built-in potential, every system the command line
+builds) and numpy; both draw the same random stream and round alike.
 """
 
 from __future__ import annotations
@@ -36,13 +33,10 @@ from . import estimators
 from .estimators import EstimateWithError
 from .walker import (
     GaussianTrial,
-    drift,
-    init_walker,
-    langevin_step,
+    derive_rng,
+    langevin_kernel,
     local_energy,
     log_transition_density,
-    derive_rng,
-    scalar_langevin,
 )
 
 
@@ -142,23 +136,14 @@ def init_reptile(
         start = rng.normal(0.0, trial.equilibrium_sigma(), size=dim)
     else:
         start = np.zeros(dim)
+    _, propose = langevin_kernel(trial, potential, epsilon)
+    x = start
+    for _ in range(equilibration_steps):
+        x = propose(rng, x)
     positions = np.empty((n_beads, dim))
-    scalar = scalar_langevin(trial, potential, epsilon)
-    if scalar is not None:
-        step = scalar[1]
-        x = float(start[0])
-        for _ in range(equilibration_steps):
-            x = step(x, rng.standard_normal())
-        for i in range(n_beads):
-            x = step(x, rng.standard_normal())
-            positions[i, 0] = x
-    else:
-        state = init_walker(trial, potential, start, epsilon, rng)
-        for _ in range(equilibration_steps):
-            langevin_step(state)
-        for i in range(n_beads):
-            langevin_step(state)
-            positions[i] = state.position
+    for i in range(n_beads):
+        x = propose(rng, x)
+        positions[i] = x
     ws = np.asarray(local_energy(trial, potential, positions), dtype=float)
     return Reptile(
         beads=(positions[i].copy() for i in range(n_beads)),
@@ -208,26 +193,7 @@ class ReptationSampler:
         direction_policy: str = "bounce",
         proposal_correction: bool = False,
     ) -> "ReptationSampler":
-        eps = reptile.epsilon
-        scalar = scalar_langevin(trial, potential, eps)
-        if scalar is not None and np.shape(reptile.head) == (1,):
-            w_scalar, step = scalar
-
-            def w_fn(pos):
-                return w_scalar(pos.item())
-
-            def propose_fn(rng_, end):
-                return np.array((step(end.item(), rng_.standard_normal()),))
-
-        else:
-            sqrt_eps = math.sqrt(eps)
-
-            def w_fn(pos):
-                return float(local_energy(trial, potential, pos))
-
-            def propose_fn(rng_, end):
-                return end + (0.5 * eps) * drift(trial, end) + rng_.normal(0.0, sqrt_eps, size=end.shape)
-
+        w_fn, propose_fn = langevin_kernel(trial, potential, reptile.epsilon)
         return cls(
             reptile,
             w_fn,
@@ -330,11 +296,6 @@ class ReptationSampler:
             self.move()
 
 
-def reptation_move(sampler: ReptationSampler) -> bool:
-    """Single creep move on the sampler's reptile (convenience alias)."""
-    return sampler.move()
-
-
 # ---------------------------------------------------------------------------
 # estimators over sampled reptiles
 
@@ -389,15 +350,11 @@ def _blocked(values: np.ndarray, step: float) -> EstimateWithError:
     mean = float(values.mean())
     if np.var(values) == 0.0:
         return EstimateWithError(mean=mean, std_error=0.0, autocorr_time=0.0, effective_samples=float(n))
-    levels = estimators.blocking_levels(values, min_blocks=16)
-    if not levels:
+    if n < 16:
         sem2 = float(np.var(values, ddof=1) / n)
         return EstimateWithError(mean=mean, std_error=math.sqrt(sem2), autocorr_time=step, effective_samples=float(n))
-    try:
-        sem2 = estimators._blocking_plateau(levels)
-    except estimators.SeriesTooShortError:
-        # conservative fallback: deepest blocking level, never below it
-        sem2 = max(level[1] for level in levels)
+    # without a plateau this is the largest level, a conservative bound
+    sem2, _ = estimators.blocking_error(values, min_blocks=16)
     var0 = float(np.var(values, ddof=1))
     tau_steps = max(0.5, 0.5 * sem2 * n / var0)
     return EstimateWithError(

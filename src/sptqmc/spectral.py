@@ -160,6 +160,24 @@ def evaluate_lambdas(model: SpectralModel, n: int) -> tuple[float, float]:
     return evaluate(lam, bindings), evaluate(lamdot, bindings)
 
 
+def _mp_polyfit(us, values, degree: int):
+    """Least-squares polynomial fit at the working mp precision.
+
+    Returns the coefficients of u^0..u^degree and the largest absolute
+    residual over the points.
+    """
+    vander = mp.matrix(len(us), degree + 1)
+    for i, u in enumerate(us):
+        acc = mp.mpf(1)
+        for j in range(degree + 1):
+            vander[i, j] = acc
+            acc *= u
+    rhs = mp.matrix(values)
+    coeffs = mp.qr_solve(vander, rhs)[0]
+    fitted = vander * coeffs
+    return coeffs, max(abs(fitted[i] - rhs[i]) for i in range(len(us)))
+
+
 def laurent_oracle(
     model: SpectralModel,
     n: int,
@@ -219,17 +237,7 @@ def laurent_oracle(
 
         values = [chain_sum(z) * z ** (n - 1) for z in zs]
         # fit in u = z/zmax to keep the Vandermonde well conditioned
-        us = [z / zmax for z in zs]
-        vander = mp.matrix(len(us), degree + 1)
-        for i, u in enumerate(us):
-            acc = mp.mpf(1)
-            for j in range(degree + 1):
-                vander[i, j] = acc
-                acc *= u
-        rhs = mp.matrix(values)
-        coeffs = mp.qr_solve(vander, rhs)[0]
-        fitted = vander * coeffs
-        resid = max(abs(fitted[i] - rhs[i]) for i in range(len(us)))
+        coeffs, resid = _mp_polyfit([z / zmax for z in zs], values, degree)
         floor = max(abs(v) for v in values) or mp.mpf(1)
         if resid / floor > max_residual:
             raise FitConditioningError(
@@ -246,7 +254,7 @@ def taylor_oracle(
     model: SpectralModel,
     n_max: int,
     *,
-    dps: int | None = 40,
+    dps: int = 40,
     scale: float = 1e-3,
 ) -> TaylorCoefficients:
     """Taylor coefficients of E_0(lambda) from exact diagonalization.
@@ -256,8 +264,7 @@ def taylor_oracle(
     polynomial.  The grid extent satisfies lambda_max ||W|| = scale * E_1
     with scale well below the 0.1 conditioning bound; high-precision
     eigenvalues (default dps = 40) keep the small-grid cancellation
-    noise far below the 1e-6 oracle tolerance.  dps=None selects a plain
-    float64 path, adequate for low orders only.
+    noise far below the 1e-6 oracle tolerance.
     """
     if n_max < 1:
         raise ValueError(f"taylor_oracle requires n_max >= 1, got {n_max}")
@@ -268,25 +275,6 @@ def taylor_oracle(
     lam_max = scale * gap0 / norm_w
     half = n_max + 1
     degree = n_max + 2
-    lams = [j * lam_max / half for j in range(-half, half + 1)]
-
-    if dps is None:
-        h0 = np.diag(model.energies)
-        ground = []
-        for lam in lams:
-            ev = np.linalg.eigvalsh(h0 + lam * model.wmat)
-            if ev[1] - ev[0] < 0.5 * gap0:
-                raise DegeneracyError(
-                    f"ground gap {ev[1] - ev[0]:.3e} at lambda={lam:.3e} "
-                    f"below half the unperturbed gap {gap0:.3e}"
-                )
-            ground.append(ev[0])
-        us = np.array(lams) / lam_max
-        vander = np.vander(us, degree + 1, increasing=True)
-        coeffs, *_ = np.linalg.lstsq(vander, np.array(ground), rcond=None)
-        resid = float(np.max(np.abs(vander @ coeffs - np.array(ground))))
-        cs = [coeffs[n] / lam_max**n for n in range(1, n_max + 1)]
-        return TaylorCoefficients(coeffs=np.array(cs), fit_residual=resid)
 
     with mp.workdps(dps):
         lam_mp = [mp.mpf(j) * lam_max / half for j in range(-half, half + 1)]
@@ -308,20 +296,10 @@ def taylor_oracle(
                     f"below half the unperturbed gap {gap0:.3e}"
                 )
             ground.append(ev[0])
-        vander = mp.matrix(len(lam_mp), degree + 1)
-        for i, lam in enumerate(lam_mp):
-            u = lam / lam_max
-            acc = mp.mpf(1)
-            for j in range(degree + 1):
-                vander[i, j] = acc
-                acc *= u
-        rhs = mp.matrix(ground)
-        coeffs = mp.qr_solve(vander, rhs)[0]
-        fitted = vander * coeffs
-        resid = float(max(abs(fitted[i] - rhs[i]) for i in range(len(lam_mp))))
+        coeffs, resid = _mp_polyfit([lam / lam_max for lam in lam_mp], ground, degree)
         scale_mp = mp.mpf(lam_max)
         cs = [float(coeffs[n] / scale_mp**n) for n in range(1, n_max + 1)]
-    return TaylorCoefficients(coeffs=np.array(cs), fit_residual=resid)
+    return TaylorCoefficients(coeffs=np.array(cs), fit_residual=float(resid))
 
 
 def build_anharmonic_model(basis_size: int, quartic_coupling: float) -> SpectralModel:

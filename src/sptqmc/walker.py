@@ -11,6 +11,11 @@ Positions are numpy vectors of arbitrary dimension d.  All trial and
 potential callables accept batched positions of shape (..., d) and
 return values of shape (...,), so whole trajectories evaluate in one
 vectorized pass.
+
+The Langevin proposal is decided here: proposal_mean is its mean, and
+langevin_kernel hands per-step loops (the generic walk below, the
+reptation sampler) closures for W and one step, on float math from
+scalar_langevin where it applies and on numpy otherwise.
 """
 
 from __future__ import annotations
@@ -118,7 +123,8 @@ class DoubleWellPotential:
     def __call__(self, positions: np.ndarray) -> np.ndarray:
         positions = np.asarray(positions, dtype=float)
         r2 = np.sum(positions * positions, axis=-1) / self.half_separation**2
-        return self.barrier * (r2 - 1.0) ** 2
+        t = r2 - 1.0
+        return self.barrier * (t * t)
 
     def __repr__(self) -> str:
         return f"DoubleWellPotential(barrier={self.barrier}, half_separation={self.half_separation})"
@@ -131,6 +137,11 @@ class DoubleWellPotential:
 def drift(trial, positions: np.ndarray) -> np.ndarray:
     """Drift force F = -dU/dR = 2 grad log Phi0."""
     return 2.0 * trial.gradient_log(positions)
+
+
+def proposal_mean(trial, epsilon: float, positions: np.ndarray) -> np.ndarray:
+    """Mean R + (eps/2) F(R) of the Langevin proposal out of R."""
+    return positions + (0.5 * epsilon) * drift(trial, positions)
 
 
 def local_energy(trial, potential, positions: np.ndarray) -> np.ndarray:
@@ -226,9 +237,8 @@ def scalar_langevin(trial, potential, epsilon: float):
         barrier, scale2 = potential.barrier, potential.half_separation**2
 
         def v(x):
-            # a power, not a product: on one position numpy squares a
-            # scalar with pow(), which rounds differently from t * t
-            return barrier * ((x * x) / scale2 - 1.0) ** 2
+            t = (x * x) / scale2 - 1.0
+            return barrier * (t * t)
     else:
         return None
 
@@ -247,17 +257,45 @@ def scalar_langevin(trial, potential, epsilon: float):
     return w, step
 
 
-def transition_density(state: WalkerState, r_from: np.ndarray, r_to: np.ndarray) -> float:
-    """Gaussian density of the Langevin proposal r_from -> r_to."""
-    return math.exp(log_transition_density(state.trial, state.epsilon, r_from, r_to))
+def langevin_kernel(trial, potential, epsilon: float):
+    """Closures (w, propose) for per-step loops over single positions.
+
+    w(pos) is the local energy at a position array as a float, and
+    propose(rng, pos) the next position of one Langevin step out of pos.
+    Systems that scalar_langevin accepts run on its float closures with
+    shape-(1,) positions; every other trial and potential runs numpy.
+    Both draw the same random stream and round identically.
+    """
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    scalar = scalar_langevin(trial, potential, epsilon)
+    if scalar is not None:
+        w_scalar, step = scalar
+
+        def w(pos):
+            return w_scalar(pos.item())
+
+        def propose(rng, pos):
+            return np.array((step(pos.item(), rng.standard_normal()),))
+
+        return w, propose
+
+    sqrt_eps = math.sqrt(epsilon)
+
+    def w(pos):
+        return float(local_energy(trial, potential, pos))
+
+    def propose(rng, pos):
+        return proposal_mean(trial, epsilon, pos) + rng.normal(0.0, sqrt_eps, size=pos.shape)
+
+    return w, propose
 
 
 def log_transition_density(trial, epsilon: float, r_from: np.ndarray, r_to: np.ndarray) -> float:
     """log of the proposal density; shared by walker and path samplers."""
     r_from = np.atleast_1d(np.asarray(r_from, dtype=float))
     r_to = np.atleast_1d(np.asarray(r_to, dtype=float))
-    mean = r_from + (0.5 * epsilon) * drift(trial, r_from)
-    diff = r_to - mean
+    diff = r_to - proposal_mean(trial, epsilon, r_from)
     d = r_from.shape[-1]
     return float(-np.sum(diff * diff) / (2.0 * epsilon) - 0.5 * d * math.log(2.0 * math.pi * epsilon))
 
@@ -332,11 +370,12 @@ def sample_local_energy_series(
         zi = (decay * start)[np.newaxis, :]
         trajectory = lfilter([1.0], [1.0, -decay], noise, axis=0, zi=zi)[0]
     else:
-        state = init_walker(trial, potential, start, epsilon, rng)
+        _, propose = langevin_kernel(trial, potential, epsilon)
         trajectory = np.empty((total, dim))
+        x = start
         for i in range(total):
-            langevin_step(state)
-            trajectory[i] = state.position
+            x = propose(rng, x)
+            trajectory[i] = x
     values = np.asarray(local_energy(trial, potential, trajectory), dtype=float)
     series = LocalEnergySeries(values=values, step=float(epsilon), burn_in=burn_in)
     if return_positions:

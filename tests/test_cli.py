@@ -335,6 +335,17 @@ class TestVmcCommand:
         out = capsys.readouterr().out
         assert "epsilon_2" in out
 
+    def test_spt_orders_writes_the_same_series_out(self, tmp_path):
+        walker_keys = "alpha = 1.2\nepsilon = 0.05\nsteps = 50000\nburn_in = 500\nworkers = 2\n"
+        extra = {"vmc": "", "spt-orders": "max_order = 2\n"}
+        written = {}
+        for sub in ("vmc", "spt-orders"):
+            written[sub] = tmp_path / f"{sub}.csv"
+            cfg = tmp_path / f"{sub}.cfg"
+            cfg.write_text(walker_keys + extra[sub] + f"series_out = {written[sub]}\n")
+            assert main([sub, "--config", str(cfg), "--seed", "5"]) == 0
+        assert written["vmc"].read_bytes() == written["spt-orders"].read_bytes()
+
     def test_short_series_is_compute_error(self, tmp_path, capsys):
         series_path = tmp_path / "short.csv"
         series = LocalEnergySeries(values=np.full(500, 0.51), step=0.01, burn_in=0)
@@ -449,6 +460,12 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "output error" in err
         assert not (tmp_path / "missing-dir").exists()
+
+    def test_non_string_output_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "symbolic.cfg"
+        cfg.write_text("order = 2\noutput = 5\n")
+        assert main(["symbolic", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "output must be a path string" in capsys.readouterr().err
 
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):

@@ -15,6 +15,7 @@ from sptqmc.estimators import (
     action_moments,
     autocorrelation_integral,
     autocovariance,
+    blocking_error,
     blocking_levels,
     gamma_from_lambdas,
     merge_estimates,
@@ -124,6 +125,24 @@ class TestVmcEstimate:
         sem2 = [v for _, v, _ in levels]
         assert sem2[0] == pytest.approx(1.0 / 4096, rel=0.1)
 
+    def test_blocking_error_plateau_on_iid(self):
+        x = np.random.default_rng(2).normal(size=4096)
+        sem2, plateau = blocking_error(x)
+        assert plateau
+        assert sem2 == pytest.approx(1.0 / 4096, rel=0.2)
+
+    def test_blocking_error_without_plateau_takes_largest_level(self):
+        rw = np.cumsum(np.random.default_rng(1).normal(size=5000))
+        sem2, plateau = blocking_error(rw)
+        assert not plateau
+        assert sem2 == max(v for _, v, _ in blocking_levels(rw))
+        with pytest.raises(SeriesTooShortError, match="no blocking plateau"):
+            vmc_estimate(LocalEnergySeries(values=rw, step=0.01))
+
+    def test_blocking_error_needs_one_level(self):
+        with pytest.raises(SeriesTooShortError):
+            blocking_error(np.arange(10.0), min_blocks=16)
+
 
 class TestAutocorrelationIntegral:
     def test_constant_series_is_zero(self):
@@ -167,6 +186,13 @@ class TestAutocorrelationIntegral:
         x = rng.normal(size=10_000)
         cov = autocovariance(x, 10)
         assert cov[0] == pytest.approx(x.var(), rel=1e-10)
+
+    def test_autocovariance_about_given_mean(self):
+        x = np.random.default_rng(5).normal(size=500)
+        cov = autocovariance(x, 3, mean=0.25)
+        xc = x - 0.25
+        direct = [np.dot(xc[: x.size - k], xc[k:]) / x.size for k in range(4)]
+        assert np.allclose(cov, direct, rtol=1e-10, atol=0.0)
 
 
 class TestActionMoments:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sptqmc import rqmc
+from sptqmc import walker
 from sptqmc import (
     DoubleWellPotential,
     EstimateWithError,
@@ -29,7 +29,6 @@ from sptqmc import (
     link_action,
     local_energy,
     pure_estimator,
-    reptation_move,
     run_reptation,
     sample_local_energy_series,
     vmc_estimate,
@@ -213,7 +212,7 @@ class TestMoveKernel:
             epsilon=0.1,
             rng=rng,
         )
-        assert reptation_move(sampler) is True
+        assert sampler.move() is True
         assert sampler.moves_proposed == 1
 
     def test_acceptance_rate_golden(self):
@@ -607,9 +606,19 @@ class TestScalarKernel:
         def numpy_path(*args):
             raise AssertionError("numpy closure called")
 
-        monkeypatch.setattr(rqmc, "local_energy", numpy_path)
-        monkeypatch.setattr(rqmc, "drift", numpy_path)
+        monkeypatch.setattr(walker, "local_energy", numpy_path)
+        monkeypatch.setattr(walker, "drift", numpy_path)
         sampler = ReptationSampler.for_system(trial, pot, r, rng)
         for _ in range(100):
             sampler.move()
         assert sampler.reptile.audit_links(sampler.w_fn) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SYSTEMS))
+    def test_fresh_reptile_links_are_exact(self, name):
+        # init_reptile evaluates W on the batch of beads, moves one bead
+        # at a time; both must round alike
+        trial, pot = KERNEL_SYSTEMS[name]
+        rng = derive_rng(25, name)
+        r = init_reptile(trial, pot, 20_000, 0.05, rng, equilibration_steps=100)
+        sampler = ReptationSampler.for_system(trial, pot, r, rng)
+        assert r.audit_links(sampler.w_fn) == 0.0

@@ -216,11 +216,6 @@ class TestTaylorOracle:
         with pytest.raises(DegeneracyError):
             taylor_oracle(m, 2, scale=0.6)
 
-    def test_float64_backend_low_order(self):
-        m = build_anharmonic_model(40, 1.0)
-        oracle = taylor_oracle(m, 2, dps=None)
-        assert oracle[2] == pytest.approx(-21.0 / 8.0, rel=1e-6)
-
     def test_index_bounds(self):
         m = two_level()
         oracle = taylor_oracle(m, 2)

@@ -21,11 +21,13 @@ from sptqmc.walker import (
     derive_rng,
     drift,
     init_walker,
+    langevin_kernel,
     langevin_step,
     local_energy,
+    log_transition_density,
+    proposal_mean,
     sample_local_energy_series,
     scalar_langevin,
-    transition_density,
 )
 
 
@@ -217,7 +219,7 @@ class TestTransitionDensity:
         state = init_walker(t, HarmonicPotential(), [0.7], epsilon=eps)
         r_from = np.array([0.7])
         r_peak = r_from + 0.5 * eps * drift(t, r_from)
-        assert transition_density(state, r_from, r_peak) == pytest.approx(
+        assert math.exp(log_transition_density(state.trial, state.epsilon, r_from, r_peak)) == pytest.approx(
             (2 * math.pi * eps) ** -0.5, rel=1e-12
         )
 
@@ -228,7 +230,7 @@ class TestTransitionDensity:
         r_from = np.array([0.4])
 
         def dens(y):
-            return transition_density(state, r_from, np.array([y]))
+            return math.exp(log_transition_density(state.trial, state.epsilon, r_from, np.array([y])))
 
         total, _ = integrate.quad(dens, -10, 10, limit=200)
         assert total == pytest.approx(1.0, abs=1e-6)
@@ -242,8 +244,8 @@ class TestTransitionDensity:
         )
         state = init_walker(flat, HarmonicPotential(), [0.0], epsilon=0.1)
         a, b = np.array([0.3]), np.array([-0.9])
-        assert transition_density(state, a, b) == pytest.approx(
-            transition_density(state, b, a), rel=1e-12
+        assert math.exp(log_transition_density(state.trial, state.epsilon, a, b)) == pytest.approx(
+            math.exp(log_transition_density(state.trial, state.epsilon, b, a)), rel=1e-12
         )
 
 
@@ -366,6 +368,47 @@ class TestScalarLangevin:
                 return super().__call__(positions) + 1.0
 
         assert scalar_langevin(GaussianTrial(1.0), Shifted(), 0.1) is None
+
+
+class TestBatchRounding:
+    """One position and a batch of positions give the same W to the last bit."""
+
+    @pytest.mark.parametrize("trial, pot", SCALAR_SYSTEMS, ids=["harmonic", "quartic", "doublewell"])
+    @settings(max_examples=200, deadline=None)
+    @given(xs=st.lists(POSITIONS, min_size=1, max_size=16))
+    @example(xs=[-1.906])  # doublewell: pow(t, 2) != t * t here
+    @example(xs=[0.3, -1.906, 2.0])
+    def test_batched_local_energy_equals_single(self, trial, pot, xs):
+        batch = local_energy(trial, pot, np.array(xs)[:, np.newaxis])
+        single = [local_energy(trial, pot, np.array([x]))[()] for x in xs]
+        assert batch.tolist() == single
+
+
+class TestLangevinKernel:
+    @pytest.mark.parametrize("trial, pot", SCALAR_SYSTEMS, ids=["harmonic", "quartic", "doublewell"])
+    def test_scalar_and_numpy_paths_agree(self, trial, pot):
+        w_fast, propose_fast = langevin_kernel(trial, pot, 0.05)
+        w_ref, propose_ref = langevin_kernel(wrap_generic(trial), pot, 0.05)
+        rng, ref_rng = derive_rng(5, "kernel"), derive_rng(5, "kernel")
+        x = y = np.array([0.3])
+        for _ in range(500):
+            x, y = propose_fast(rng, x), propose_ref(ref_rng, y)
+            assert x.shape == (1,)
+            assert np.array_equal(x, y)
+            assert w_fast(x) == w_ref(y)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_numpy_propose_is_mean_plus_noise(self):
+        trial = GaussianTrial(0.8, dim=2)
+        _, propose = langevin_kernel(trial, HarmonicPotential(), 0.1)
+        pos = np.array([0.5, -1.0])
+        got = propose(derive_rng(6, "p"), pos)
+        noise = derive_rng(6, "p").normal(0.0, math.sqrt(0.1), size=2)
+        assert np.array_equal(got, proposal_mean(trial, 0.1, pos) + noise)
+
+    def test_epsilon_must_be_positive(self):
+        with pytest.raises(ValueError):
+            langevin_kernel(GaussianTrial(1.0), HarmonicPotential(), 0.0)
 
 
 class TestImportCost:
