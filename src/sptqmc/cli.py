@@ -14,10 +14,13 @@ import argparse
 import ast
 import difflib
 import json
+import math
 import os
 import sys
 import tempfile
 import time
+import warnings
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from importlib import metadata
 
@@ -31,6 +34,8 @@ SUBCOMMANDS = ("symbolic", "spectral", "vmc", "spt-orders", "rqmc")
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 EXIT_UNEXPECTED = 1
+
+CSV_CHUNK_ROWS = 65536  # rows formatted per write, which bounds a CSV write's memory
 
 
 class ConfigError(ValueError):
@@ -318,14 +323,17 @@ def _pyify(obj):
     return obj
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: str | Iterable[str]) -> None:
+    """Write text, whole or as a stream of chunks, to a temp file beside path, then rename it over path."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     directory = os.path.dirname(os.path.abspath(path))
     handle = tempfile.NamedTemporaryFile(
         "w", dir=directory, prefix=".spt-", suffix=".tmp", delete=False, encoding="utf-8"
     )
     try:
         with handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(handle.name, path)
     except BaseException:
         try:
@@ -344,37 +352,118 @@ def _estimate_dict(est: estimators.EstimateWithError) -> dict:
     }
 
 
+def _csv_chunks(header: str, n_rows: int, rows: Callable[[int, int], str]) -> Iterator[str]:
+    """The header, then rows(start, stop) over consecutive blocks of CSV_CHUNK_ROWS rows."""
+    yield header
+    for start in range(0, n_rows, CSV_CHUNK_ROWS):
+        yield rows(start, min(start + CSV_CHUNK_ROWS, n_rows))
+
+
 def write_series_csv(path: str, series: estimators.LocalEnergySeries) -> None:
-    lines = [f"# epsilon = {float(series.step)!r}", f"# burn_in = {series.burn_in}", "step,W"]
-    lines.extend(f"{i},{float(v)!r}" for i, v in enumerate(series.values))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Save a series as `index,value` rows under its epsilon and burn_in header."""
+    values = series.values
+
+    def rows(start: int, stop: int) -> str:
+        return "".join([f"{i},{v!r}\n" for i, v in enumerate(values[start:stop].tolist(), start)])
+
+    header = f"# epsilon = {float(series.step)!r}\n# burn_in = {series.burn_in}\nstep,W\n"
+    _atomic_write(path, _csv_chunks(header, values.size, rows))
+
+
+def _write_sweeps_csv(path: str, run: rqmc.RQMCRunResult) -> None:
+    """Save an RQMC run's per-sweep tail and head W and total action."""
+    ends, actions = run.series, run.actions
+
+    def rows(start: int, stop: int) -> str:
+        return "".join([
+            f"{i},{tail!r},{head!r},{action!r}\n"
+            for i, (tail, head), action in zip(
+                range(start, stop), ends[start:stop].tolist(), actions[start:stop].tolist()
+            )
+        ])
+
+    _atomic_write(path, _csv_chunks("sweep,w_tail,w_head,action\n", run.sweeps, rows))
 
 
 def read_series_csv(path: str) -> estimators.LocalEnergySeries:
+    """Load a series file: `#` header lines and `step,W`, then `index,value` rows.
+
+    The header is read line by line and the data rows by np.loadtxt, which
+    also skips blank lines and `#` comments among them.  A malformed file
+    raises ConfigError naming it, and the offending line where there is one.
+    """
+    try:
+        return _read_series_csv(path)
+    except UnicodeDecodeError:
+        raise ConfigError(f"series file {path} is not UTF-8 text") from None
+
+
+def _read_series_csv(path: str) -> estimators.LocalEnergySeries:
     epsilon = None
     burn_in = 0
-    values = []
+    header_lines = 0
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                key, _, value = body.partition("=")
+            text = line.strip()
+            if text and not text.startswith(("#", "step,")):
+                break
+            header_lines += 1
+            if text.startswith("#"):
+                key, _, value = text.lstrip("#").partition("=")
                 key = key.strip()
-                if key == "epsilon":
-                    epsilon = float(value)
-                elif key == "burn_in":
-                    burn_in = int(value)
-                continue
-            if line.startswith("step,"):
-                continue
-            _, _, w = line.partition(",")
-            values.append(float(w))
+                try:
+                    if key == "epsilon":
+                        epsilon = float(value)
+                    elif key == "burn_in":
+                        burn_in = int(value)
+                except ValueError:
+                    raise ConfigError(
+                        f"series file {path}, line {header_lines}: bad {key} value {value.strip()!r}"
+                    ) from None
     if epsilon is None:
         raise ConfigError(f"series file {path} lacks the '# epsilon = ...' header")
-    return estimators.LocalEnergySeries(values=np.array(values), step=epsilon, burn_in=burn_in)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on an empty file
+        try:
+            rows = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=header_lines, encoding="utf-8")
+        except ValueError:
+            rows = None
+    if rows is not None and rows.size == 0:
+        raise ConfigError(f"series file {path} has no data rows")
+    if rows is None or rows.shape[1] != 2 or not np.isfinite(rows[:, 1]).all():
+        raise ConfigError(_bad_row_message(path, header_lines))
+    # Move the W column to the front of the rows' own buffer, block by block
+    # (only the first block overlaps its source), so the file's values are
+    # never held twice.
+    n = rows.shape[0]
+    flat = rows.reshape(-1)
+    for start in range(0, n, CSV_CHUNK_ROWS):
+        stop = min(start + CSV_CHUNK_ROWS, n)
+        flat[start:stop] = rows[start:stop, 1]
+    try:
+        return estimators.LocalEnergySeries(values=flat[:n], step=epsilon, burn_in=burn_in)
+    except ValueError as exc:
+        raise ConfigError(f"series file {path}: {exc}") from None
+
+
+def _bad_row_message(path: str, header_lines: int) -> str:
+    """Name the first data row that is not `index,value` with a finite value."""
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            text = line.partition("#")[0].strip()
+            if lineno <= header_lines or not text:
+                continue
+            try:
+                _, value = map(float, text.split(","))
+                ok = math.isfinite(value)
+            except ValueError:
+                ok = False
+            if not ok:
+                return (
+                    f"series file {path}, line {lineno}: "
+                    f"expected 'index,value' with a finite value, got {text!r}"
+                )
+    return f"series file {path}: cannot read its data rows as 'index,value'"
 
 
 # ---------------------------------------------------------------------------
@@ -570,13 +659,7 @@ def _run_rqmc(config: RunConfig) -> tuple[dict, list[str]]:
             )
         )
     if params.get("series_out"):
-        run = runs[0]
-        lines = ["sweep,w_tail,w_head,action"]
-        lines.extend(
-            f"{i},{float(run.series[i, 0])!r},{float(run.series[i, 1])!r},{float(run.actions[i])!r}"
-            for i in range(run.sweeps)
-        )
-        _atomic_write(params["series_out"], "\n".join(lines) + "\n")
+        _write_sweeps_csv(params["series_out"], runs[0])
     energy = estimators.merge_estimates([r.energy for r in runs])
     pure = {}
     for name in runs[0].pure_observables:

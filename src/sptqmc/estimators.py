@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft, irfft
 
 DEFAULT_MAX_STOCHASTIC_ORDER = 3
 HIGH_ORDER_WARNING = (
@@ -158,17 +157,17 @@ def blocking_error(values: np.ndarray, min_blocks: int = 32) -> tuple[float, boo
     return max(level[1] for level in levels), False
 
 
-def _integrated_autocorr_steps(x: np.ndarray, window_factor: float) -> tuple[float, int]:
-    """Sokal-windowed tau_int in step units, plus the window k*."""
+def _integrated_autocorr_steps(x: np.ndarray, window_factor: float) -> tuple[float, int, np.ndarray]:
+    """Sokal-windowed tau_int in step units, the window k*, and c(0..N/4) it came from."""
     c = autocovariance(x, max_lag=max(1, x.size // 4))
     if c[0] <= 0:
-        return 0.5, 0
+        return 0.5, 0, c
     rho = c / c[0]
     tau = 0.5
     for k in range(1, rho.size):
         tau += float(rho[k])
         if k >= window_factor * tau:
-            return max(tau, 0.5), k
+            return max(tau, 0.5), k, c
     raise WindowSelectionError(
         "autocorrelation does not decay within the available lags"
     )
@@ -193,7 +192,7 @@ def vmc_estimate(series: LocalEnergySeries) -> EstimateWithError:
         raise SeriesTooShortError(
             "no blocking plateau: series too short for its correlation time"
         )
-    tau_steps, _ = _integrated_autocorr_steps(x, window_factor=6.0)
+    tau_steps, _, _ = _integrated_autocorr_steps(x, window_factor=6.0)
     return EstimateWithError(
         mean=mean,
         std_error=math.sqrt(sem2),
@@ -204,6 +203,19 @@ def vmc_estimate(series: LocalEnergySeries) -> EstimateWithError:
 
 # ---------------------------------------------------------------------------
 # autocovariance and the second-order integral
+
+
+def _next_fast_len(target: int) -> int:
+    """Smallest 11-smooth integer >= target: the FFT length scipy.fft.next_fast_len picks."""
+    best = 1 << (target - 1).bit_length()
+    odd = [1]  # every 3-, 5-, 7- and 11-smooth odd number below best
+    for p in (3, 5, 7, 11):
+        for m in list(odd):
+            m *= p
+            while m < best:
+                odd.append(m)
+                m *= p
+    return min(m << (-(-target // m) - 1).bit_length() for m in odd)
 
 
 def autocovariance(values: np.ndarray, max_lag: int, mean: float | None = None) -> np.ndarray:
@@ -217,9 +229,9 @@ def autocovariance(values: np.ndarray, max_lag: int, mean: float | None = None) 
     if max_lag >= n:
         raise ValueError(f"max_lag {max_lag} must be below the series length {n}")
     xc = x - (x.mean() if mean is None else mean)
-    m = next_fast_len(2 * n)
-    f = rfft(xc, m)
-    acov = irfft(f * np.conj(f), m)[: max_lag + 1]
+    m = _next_fast_len(2 * n)
+    f = np.fft.rfft(xc, m)
+    acov = np.fft.irfft(f * np.conj(f), m)[: max_lag + 1]
     return acov / n
 
 
@@ -242,8 +254,8 @@ def autocorrelation_integral(
     mean = float(np.mean(x))
     if n < 2 or np.var(x) == 0.0:
         return EstimateWithError(mean=0.0, std_error=0.0, autocorr_time=0.0, effective_samples=float(n))
-    tau_steps, kstar = _integrated_autocorr_steps(x, window_factor)
-    c = autocovariance(x, max_lag=kstar)
+    tau_steps, kstar, c = _integrated_autocorr_steps(x, window_factor)
+    c = c[: kstar + 1]
     eps = series.step
     total = float(-eps * (0.5 * c[0] + np.sum(c[1:])))
 

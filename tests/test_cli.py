@@ -4,18 +4,25 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sptqmc import LocalEnergySeries
+from sptqmc import LocalEnergySeries, cli
 from sptqmc.cli import (
+    CSV_CHUNK_ROWS,
     EXIT_COMPUTE,
     EXIT_CONFIG,
     SCHEMA_VERSION,
     ConfigError,
     RunConfig,
     _atomic_write,
+    _write_sweeps_csv,
     main,
     parse_config,
     read_series_csv,
@@ -196,11 +203,162 @@ class TestSeriesCsv:
             read_series_csv(str(path))
 
 
+def joined_series_text(values, step, burn_in) -> str:
+    """A series file as it was built before the writer streamed: one string per row, joined."""
+    lines = [f"# epsilon = {float(step)!r}", f"# burn_in = {burn_in}", "step,W"]
+    lines.extend(f"{i},{float(v)!r}" for i, v in enumerate(values))
+    return "\n".join(lines) + "\n"
+
+
+def joined_sweeps_text(run) -> str:
+    """An RQMC series_out file as it was built before the writer streamed."""
+    lines = ["sweep,w_tail,w_head,action"]
+    lines.extend(
+        f"{i},{float(run.series[i, 0])!r},{float(run.series[i, 1])!r},{float(run.actions[i])!r}"
+        for i in range(run.sweeps)
+    )
+    return "\n".join(lines) + "\n"
+
+
+class TestSeriesStreaming:
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    @example(values=[-0.0, 5e-324, 1e-5, 1e16, 1e22])
+    @example(values=[0.25])
+    @example(values=[(-1.0) ** i * i / 7.0 for i in range(CSV_CHUNK_ROWS + 1)])
+    def test_bytes_equal_the_joined_rows(self, values):
+        series = LocalEnergySeries(values=np.array(values), step=0.005, burn_in=0)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "series.csv")
+            write_series_csv(path, series)
+            with open(path, "rb") as handle:
+                assert handle.read() == joined_series_text(values, 0.005, 0).encode("utf-8")
+            loaded = read_series_csv(path)
+        assert loaded.values.tobytes() == series.values.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, burn_in, values",
+        [
+            ("# epsilon = 0.01\nstep,W\n0,0.5\n# a note\n1,-0.25\n#\n2,1e-300\n", 0, [0.5, -0.25, 1e-300]),
+            ("# epsilon = 0.01\n\nstep,W\n\n0,0.5\n1,-0.25\n\n\n2,1e-300\n\n", 0, [0.5, -0.25, 1e-300]),
+            ("# epsilon = 0.01\r\n# burn_in = 1\r\nstep,W\r\n0,0.5\r\n1,-0.25\r\n2,1e-300\r\n", 1, [0.5, -0.25, 1e-300]),
+            ("# epsilon = 0.01\n# burn_in = 2\n0,0.5\n1,-0.25\n2,1e-300\n", 2, [0.5, -0.25, 1e-300]),
+            ("# epsilon = 0.01\nstep,W\n0,0.5\n", 0, [0.5]),
+        ],
+        ids=["comments-between-rows", "blank-lines", "crlf", "no-step-line", "single-row"],
+    )
+    def test_round_trip_layouts(self, tmp_path, text, burn_in, values):
+        path = tmp_path / "series.csv"
+        path.write_bytes(text.encode("utf-8"))
+        loaded = read_series_csv(str(path))
+        assert loaded.step == 0.01
+        assert loaded.burn_in == burn_in
+        assert loaded.values.tolist() == values
+        assert loaded.values.flags.c_contiguous
+
+    def test_memory_is_bounded(self, tmp_path):
+        # 2M values are 16 MB as float64 and 43 MB as text: the writer may
+        # hold one chunk of rows, the reader one (n, 2) array of them
+        series = LocalEnergySeries(
+            values=np.random.default_rng(2).normal(size=2_000_000), step=0.005, burn_in=0
+        )
+        path = str(tmp_path / "long.csv")
+        tracemalloc.start()
+        try:
+            write_series_csv(path, series)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded = read_series_csv(path)
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.values, series.values)
+        assert write_peak < 32e6
+        assert read_peak < 40e6
+
+
+MALFORMED_SERIES = {
+    "not-a-number": ("# epsilon = 0.01\nstep,W\n0,0.5\n1,abc\n2,0.5\n", "line 4"),
+    "no-data-rows": ("# epsilon = 0.01\n# burn_in = 0\nstep,W\n", "no data rows"),
+    "nan-row": ("# epsilon = 0.01\nstep,W\n0,0.5\n1,nan\n", "line 4"),
+    "extra-field": ("# epsilon = 0.01\nstep,W\n0,0.5\n1,2.5,extra\n", "line 4"),
+    "three-columns-throughout": ("# epsilon = 0.01\nstep,W\n0,0.5,1\n1,2.5,1\n", "line 3"),
+    "bad-epsilon": ("# epsilon = small\nstep,W\n0,0.5\n", "line 1"),
+    "burn-in-past-the-end": ("# epsilon = 0.01\n# burn_in = 5\n0,0.5\n1,0.5\n", "burn_in"),
+    "not-utf-8": ("# epsilon = 0.01\nstep,W\n0,0.5\n1,\xff\n", "not UTF-8"),
+}
+
+
+class TestMalformedSeries:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_SERIES))
+    def test_reader_raises_config_error(self, tmp_path, name):
+        text, where = MALFORMED_SERIES[name]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ConfigError, match=where) as info:
+            read_series_csv(str(path))
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_SERIES))
+    def test_spt_orders_exits_with_config_error(self, tmp_path, capsys, name):
+        text, where = MALFORMED_SERIES[name]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode("latin-1"))
+        cfg = tmp_path / "orders.cfg"
+        cfg.write_text(f"series = {path}\nmax_order = 2\n")
+        assert main(["spt-orders", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert str(path) in err and where in err
+
+
+class TestSweepsCsv:
+    def test_cli_series_out_equals_the_joined_rows(self, tmp_path, monkeypatch):
+        runs = []
+        real = cli.rqmc.run_reptation
+
+        def capture(*args, **kwargs):
+            runs.append(real(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli.rqmc, "run_reptation", capture)
+        cfg = tmp_path / "ho.cfg"
+        series_path = tmp_path / "sweeps.csv"
+        cfg.write_text(RQMC_CONFIG + f"series_out = {series_path}\n")
+        assert main(["rqmc", "--config", str(cfg)]) == 0
+        assert series_path.read_bytes() == joined_sweeps_text(runs[0]).encode("utf-8")
+
+    def test_rows_past_one_chunk(self, tmp_path):
+        n = CSV_CHUNK_ROWS + 1
+        rng = np.random.default_rng(9)
+        series = rng.normal(size=(n, 2))
+        series[:3, 0] = [-0.0, 5e-324, 1e22]
+        run = types.SimpleNamespace(series=series, actions=rng.normal(size=n), sweeps=n)
+        path = tmp_path / "sweeps.csv"
+        _write_sweeps_csv(str(path), run)
+        assert path.read_bytes() == joined_sweeps_text(run).encode("utf-8")
+
+
 class TestAtomicWrite:
     def test_writes_exact_text(self, tmp_path):
         path = tmp_path / "out.json"
         _atomic_write(str(path), '{"a": 1}\n')
         assert path.read_text() == '{"a": 1}\n'
+
+    def test_writes_chunks_in_order(self, tmp_path):
+        path = tmp_path / "out.csv"
+        _atomic_write(str(path), (f"{i}\n" for i in range(3)))
+        assert path.read_text() == "0\n1\n2\n"
+
+    def test_failing_chunk_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield "partial\n"
+            raise RuntimeError("simulated formatting failure")
+
+        path = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError, match="simulated"):
+            _atomic_write(str(path), chunks())
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_partial_file_on_failure(self, tmp_path, monkeypatch):
         path = tmp_path / "out.json"

@@ -12,6 +12,8 @@ from sptqmc.estimators import (
     NonLinearityError,
     SeriesTooShortError,
     WindowSelectionError,
+    _integrated_autocorr_steps,
+    _next_fast_len,
     action_moments,
     autocorrelation_integral,
     autocovariance,
@@ -193,6 +195,34 @@ class TestAutocorrelationIntegral:
         xc = x - 0.25
         direct = [np.dot(xc[: x.size - k], xc[k:]) / x.size for k in range(4)]
         assert np.allclose(cov, direct, rtol=1e-10, atol=0.0)
+
+    def test_integral_reuses_the_window_autocovariance(self):
+        s = ar1_series(200_000, 0.9, seed=8)
+        x = s.analysis_values
+        _, kstar, c = _integrated_autocorr_steps(x, 6.0)
+        assert np.array_equal(c[: kstar + 1], autocovariance(x, kstar))
+        own = autocovariance(x, kstar)
+        expected = float(-s.step * (0.5 * own[0] + np.sum(own[1:])))
+        assert autocorrelation_integral(s).mean == expected
+
+
+class TestFftBackend:
+    """numpy.fft with an 11-smooth length, against the scipy.fft path it replaced."""
+
+    def test_next_fast_len_matches_scipy(self):
+        scipy_fft = pytest.importorskip("scipy.fft")
+        for target in range(1, 20_001):
+            assert _next_fast_len(target) == scipy_fft.next_fast_len(target), target
+
+    def test_autocovariance_bitwise_equal_to_scipy_at_walk_length(self):
+        scipy_fft = pytest.importorskip("scipy.fft")
+        n = 2_000_000
+        x = np.random.default_rng(11).normal(size=n)
+        xc = x - x.mean()
+        m = scipy_fft.next_fast_len(2 * n)
+        f = scipy_fft.rfft(xc, m)
+        reference = scipy_fft.irfft(f * np.conj(f), m)[: n // 4 + 1] / n
+        assert np.array_equal(autocovariance(x, n // 4), reference)
 
 
 class TestActionMoments:
