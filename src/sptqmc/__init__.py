@@ -4,10 +4,15 @@ Symbolic Rayleigh-Schrodinger corrections to a non-degenerate ground
 state, their sum-over-states evaluation on finite spectral models, and
 the matching stochastic estimators built on Langevin walkers and
 reptation sampling.
+
+The package namespace holds the public surface listed in __all__: the
+exact corrections and their oracles, the stochastic estimates of the
+same corrections, the built-in potentials, the result types, and the
+errors the command line maps to exit codes.  Everything else is imported
+from its module, e.g. sptqmc.rqmc.Reptile or sptqmc.spectral.random_model.
 """
 
 from .estimators import (
-    ActionMoments,
     EstimateWithError,
     LocalEnergySeries,
     NonLinearityError,
@@ -15,145 +20,62 @@ from .estimators import (
     WindowSelectionError,
     action_moments,
     autocorrelation_integral,
-    gamma_from_lambdas,
-    merge_estimates,
     stochastic_epsilons,
     vmc_estimate,
 )
-from .rqmc import (
-    ReptationSampler,
-    Reptile,
-    RQMCRunResult,
-    acceptance_probability,
-    adaptive_burn_in,
-    energy_estimator,
-    extrapolate_linear,
-    init_reptile,
-    link_action,
-    pure_estimator,
-    run_reptation,
-)
-from .rspt import (
-    MissingOrderError,
-    OrderCapError,
-    PTOrderResult,
-    epsilon_series,
-    gamma_naughts,
-    lambda_naughts,
-    ordinary_bell,
-    render_sum_over_states,
-)
+from .rqmc import RQMCRunResult, extrapolate_linear, run_reptation
+from .rspt import MissingOrderError, OrderCapError, epsilon_series
 from .spectral import (
     DegeneracyError,
     FitConditioningError,
     ModelValidationError,
     SpectralModel,
-    TaylorCoefficients,
-    build_anharmonic_model,
-    complete_homogeneous,
     evaluate_epsilons,
-    evaluate_lambdas,
-    g_value,
-    ground_state_energy,
     laurent_oracle,
-    load_model,
-    random_model,
     taylor_oracle,
 )
-from .symexpr import (
-    GExpression,
-    GMonomial,
-    GVar,
-    UnboundVariableError,
-    differentiate_z,
-    evaluate,
-    g,
-    render_json,
-    render_text,
-)
+from .symexpr import g
 from .walker import (
-    CallableTrial,
     DoubleWellPotential,
     GaussianTrial,
     HarmonicPotential,
     QuarticPotential,
-    WalkerState,
-    derive_rng,
-    drift,
-    init_walker,
-    langevin_step,
-    local_energy,
     sample_local_energy_series,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionMoments",
-    "CallableTrial",
-    "DegeneracyError",
-    "DoubleWellPotential",
-    "EstimateWithError",
-    "FitConditioningError",
-    "GExpression",
-    "GMonomial",
-    "GVar",
+    # exact corrections and their oracles
+    "epsilon_series",
+    "g",
+    "SpectralModel",
+    "evaluate_epsilons",
+    "taylor_oracle",
+    "laurent_oracle",
+    # stochastic estimates of the same corrections
     "GaussianTrial",
     "HarmonicPotential",
-    "LocalEnergySeries",
-    "MissingOrderError",
-    "ModelValidationError",
-    "NonLinearityError",
-    "OrderCapError",
-    "PTOrderResult",
     "QuarticPotential",
-    "RQMCRunResult",
-    "ReptationSampler",
-    "Reptile",
-    "SeriesTooShortError",
-    "SpectralModel",
-    "TaylorCoefficients",
-    "UnboundVariableError",
-    "WalkerState",
-    "WindowSelectionError",
-    "acceptance_probability",
-    "action_moments",
-    "adaptive_burn_in",
-    "autocorrelation_integral",
-    "build_anharmonic_model",
-    "complete_homogeneous",
-    "derive_rng",
-    "differentiate_z",
-    "drift",
-    "energy_estimator",
-    "epsilon_series",
-    "evaluate",
-    "evaluate_epsilons",
-    "evaluate_lambdas",
-    "extrapolate_linear",
-    "g",
-    "g_value",
-    "gamma_from_lambdas",
-    "gamma_naughts",
-    "ground_state_energy",
-    "init_reptile",
-    "init_walker",
-    "lambda_naughts",
-    "langevin_step",
-    "laurent_oracle",
-    "link_action",
-    "load_model",
-    "local_energy",
-    "merge_estimates",
-    "ordinary_bell",
-    "pure_estimator",
-    "random_model",
-    "render_json",
-    "render_sum_over_states",
-    "render_text",
-    "run_reptation",
+    "DoubleWellPotential",
     "sample_local_energy_series",
-    "stochastic_epsilons",
-    "taylor_oracle",
     "vmc_estimate",
+    "autocorrelation_integral",
+    "action_moments",
+    "stochastic_epsilons",
+    "run_reptation",
+    "extrapolate_linear",
+    # result types
+    "LocalEnergySeries",
+    "EstimateWithError",
+    "RQMCRunResult",
+    # configuration errors (exit 2) and numerical failures (exit 3)
+    "ModelValidationError",
+    "OrderCapError",
+    "DegeneracyError",
+    "FitConditioningError",
+    "MissingOrderError",
+    "NonLinearityError",
+    "SeriesTooShortError",
+    "WindowSelectionError",
 ]

@@ -763,7 +763,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     text = ""
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            try:
+                text = handle.read()
+            except UnicodeDecodeError:
+                raise ConfigError(f"config file {args.config} is not UTF-8 text") from None
     given = {key: value for key, (value, _) in _raw_entries(text).items()}
     for key in ("order", "sum_over_states", "model", "oracle"):
         value = getattr(args, key, None)
@@ -774,11 +777,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return replace(config, seed=_resolve_seed(args.seed, config.seed), output_path=output)
 
 
+# an unreadable input file (missing, a directory, not UTF-8) is a config error
 _CONFIG_ERRORS = (
     ConfigError,
     spectral.ModelValidationError,
     rspt.OrderCapError,
-    FileNotFoundError,
+    OSError,
+    UnicodeDecodeError,
 )
 _COMPUTE_ERRORS = (
     spectral.FitConditioningError,
@@ -795,10 +800,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = build_config(args)
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         report = run(config)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -51,7 +51,9 @@ def acceptance_probability(delta_s: float) -> float:
 
 
 class Reptile:
-    """Bead chain with cached per-bead W, link actions, and total action.
+    """Bead chain with cached per-bead W and total action.
+
+    Each link action is derived from the W values of its two beads.
 
     total_action is maintained incrementally by moves; recompute helpers
     exist to audit the cache (it must track recomputation to 1e-9 over
@@ -69,11 +71,13 @@ class Reptile:
             raise ValueError("direction must be +1 (head) or -1 (tail)")
         self.epsilon = float(epsilon)
         self.direction = direction
-        self.link_actions = deque(
-            link_action(self.epsilon, wa, wb)
-            for wa, wb in zip(list(self.w_values)[:-1], list(self.w_values)[1:])
-        )
         self.total_action = math.fsum(self.link_actions)
+
+    @property
+    def link_actions(self) -> list[float]:
+        """L_i = (eps/2)(W_i + W_{i+1}) of every link, tail to head."""
+        ws = list(self.w_values)
+        return [link_action(self.epsilon, a, b) for a, b in zip(ws[:-1], ws[1:])]
 
     @property
     def n_beads(self) -> int:
@@ -106,11 +110,10 @@ class Reptile:
 
     def recomputed_action(self) -> float:
         """Total action rebuilt from the cached per-bead W values."""
-        ws = list(self.w_values)
-        return math.fsum(link_action(self.epsilon, a, b) for a, b in zip(ws[:-1], ws[1:]))
+        return math.fsum(self.link_actions)
 
     def audit_links(self, w_fn: Callable) -> float:
-        """Max |cached link - link recomputed from positions via w_fn|."""
+        """Max |link from cached W - link recomputed from positions via w_fn|."""
         ws = [float(w_fn(b)) for b in self.beads]
         worst = 0.0
         for cached, wa, wb in zip(self.link_actions, ws[:-1], ws[1:]):
@@ -261,7 +264,8 @@ class ReptationSampler:
         new_bead = self.propose_fn(self.rng, end)
         w_new = float(self.w_fn(new_bead))
         l_new = link_action(r.epsilon, w_end, w_new)
-        l_removed = r.link_actions[0] if grow_head else r.link_actions[-1]
+        w_a, w_b = (r.w_values[0], r.w_values[1]) if grow_head else (r.w_values[-2], r.w_values[-1])
+        l_removed = link_action(r.epsilon, w_a, w_b)
         delta = l_new - l_removed
         if self.correction_trial is not None:
             log_accept = -delta + self._log_correction(new_bead, grow_head)
@@ -274,17 +278,13 @@ class ReptationSampler:
             if grow_head:
                 r.beads.append(new_bead)
                 r.w_values.append(w_new)
-                r.link_actions.append(l_new)
                 r.beads.popleft()
                 r.w_values.popleft()
-                r.link_actions.popleft()
             else:
                 r.beads.appendleft(new_bead)
                 r.w_values.appendleft(w_new)
-                r.link_actions.appendleft(l_new)
                 r.beads.pop()
                 r.w_values.pop()
-                r.link_actions.pop()
             r.total_action += l_new - l_removed
         elif self.direction_policy == "bounce":
             r.direction = -r.direction

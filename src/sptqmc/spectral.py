@@ -438,4 +438,8 @@ def _parse_model_value(key: str, text: str, lineno: int):
 def load_model(path: str) -> SpectralModel:
     """Read a model file from disk (see parse_model_text)."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_model_text(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError:
+            raise ModelValidationError(f"model file {path} is not UTF-8 text") from None
+    return parse_model_text(text)

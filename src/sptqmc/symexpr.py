@@ -76,10 +76,7 @@ class GMonomial:
         return sum(v.order * e for v, e in self._factors)
 
     def __mul__(self, other: "GMonomial") -> "GMonomial":
-        merged = dict(self._factors)
-        for var, exp in other._factors:
-            merged[var] = merged.get(var, 0) + exp
-        return GMonomial(merged)
+        return GMonomial(self._factors + other._factors)
 
     def sort_key(self) -> tuple:
         """Graded lexicographic key: (total degree, sorted variable list)."""
@@ -131,13 +128,7 @@ class GExpression:
         for mono, coeff in items:
             if not isinstance(mono, GMonomial):
                 raise TypeError(f"GExpression keys must be GMonomial, got {mono!r}")
-            frac = Fraction(coeff)
-            if frac:
-                prev = clean.get(mono, Fraction(0)) + frac
-                if prev:
-                    clean[mono] = prev
-                else:
-                    clean.pop(mono, None)
+            _accumulate(clean, mono, Fraction(coeff))
         object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -180,11 +171,7 @@ class GExpression:
             return NotImplemented
         merged = dict(self._terms)
         for mono, coeff in other._terms.items():
-            total = merged.get(mono, Fraction(0)) + coeff
-            if total:
-                merged[mono] = total
-            else:
-                merged.pop(mono, None)
+            _accumulate(merged, mono, coeff)
         return _wrap(merged)
 
     __radd__ = __add__
@@ -215,12 +202,7 @@ class GExpression:
         out: dict[GMonomial, Fraction] = {}
         for ma, ca in self._terms.items():
             for mb, cb in other._terms.items():
-                mono = ma * mb
-                total = out.get(mono, Fraction(0)) + ca * cb
-                if total:
-                    out[mono] = total
-                else:
-                    out.pop(mono, None)
+                _accumulate(out, ma * mb, ca * cb)
         return _wrap(out)
 
     __rmul__ = __mul__
@@ -234,9 +216,8 @@ class GExpression:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = GExpression.constant(other)
-        if not isinstance(other, GExpression):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self._terms == other._terms
 
@@ -248,6 +229,15 @@ class GExpression:
 
     def __repr__(self) -> str:
         return f"GExpression<{render_text(self)}>"
+
+
+def _accumulate(terms: dict[GMonomial, Fraction], mono: GMonomial, coeff: Fraction) -> None:
+    """Add coeff to the coefficient of mono in terms; a zero sum is not stored."""
+    total = terms[mono] + coeff if mono in terms else coeff
+    if total:
+        terms[mono] = total
+    else:
+        terms.pop(mono, None)
 
 
 def _wrap(terms: dict[GMonomial, Fraction]) -> GExpression:
@@ -276,22 +266,14 @@ def differentiate_z(expr: GExpression) -> GExpression:
     out: dict[GMonomial, Fraction] = {}
     for mono, coeff in expr._terms.items():
         factors = mono.factors
-        for i, (var, exp) in enumerate(factors):
+        for var, exp in factors:
             if var.order == 1:
                 continue
             bumped = dict(factors)
-            if exp == 1:
-                del bumped[var]
-            else:
-                bumped[var] = exp - 1
+            bumped[var] = exp - 1  # GMonomial drops a zero exponent
             up = GVar(var.order, var.deriv + 1)
             bumped[up] = bumped.get(up, 0) + 1
-            new_mono = GMonomial(bumped)
-            total = out.get(new_mono, Fraction(0)) + coeff * exp
-            if total:
-                out[new_mono] = total
-            else:
-                out.pop(new_mono, None)
+            _accumulate(out, GMonomial(bumped), coeff * exp)
     return _wrap(out)
 
 

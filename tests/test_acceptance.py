@@ -22,25 +22,21 @@ from sptqmc import (
     HarmonicPotential,
     QuarticPotential,
     SpectralModel,
-    acceptance_probability,
     action_moments,
     autocorrelation_integral,
-    build_anharmonic_model,
     cli,
     epsilon_series,
     evaluate_epsilons,
-    evaluate_lambdas,
     extrapolate_linear,
-    ground_state_energy,
     laurent_oracle,
-    link_action,
-    random_model,
     run_reptation,
     sample_local_energy_series,
     stochastic_epsilons,
     taylor_oracle,
     vmc_estimate,
 )
+from sptqmc.rqmc import acceptance_probability, link_action
+from sptqmc.spectral import build_anharmonic_model, evaluate_lambdas, ground_state_energy, random_model
 from sptqmc.symexpr import g
 
 ALPHA = 1.2

@@ -619,6 +619,27 @@ class TestErrorPaths:
         assert "output error" in err
         assert not (tmp_path / "missing-dir").exists()
 
+    @pytest.mark.parametrize(
+        "case", ["config-not-utf-8", "model-not-utf-8", "series-is-a-directory", "model-is-a-directory"]
+    )
+    def test_unreadable_input_is_config_error(self, case, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("order = 2\n# café\n".encode("latin-1"))
+        directory = tmp_path / "adir"
+        directory.mkdir()
+        orders_cfg = tmp_path / "orders.cfg"
+        orders_cfg.write_text(f'series = "{directory}"\nmax_order = 2\n')
+        argv, path = {
+            "config-not-utf-8": (["symbolic", "--config", str(latin1)], latin1),
+            "model-not-utf-8": (["spectral", "--model", str(latin1), "--order", "2"], latin1),
+            "series-is-a-directory": (["spt-orders", "--config", str(orders_cfg)], directory),
+            "model-is-a-directory": (["spectral", "--model", str(directory), "--order", "2"], directory),
+        }[case]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert str(path) in err
+
     def test_non_string_output_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "symbolic.cfg"
         cfg.write_text("order = 2\noutput = 5\n")

@@ -13,26 +13,24 @@ from sptqmc import (
     GaussianTrial,
     HarmonicPotential,
     QuarticPotential,
-    ReptationSampler,
-    Reptile,
     SeriesTooShortError,
-    acceptance_probability,
     action_moments,
-    adaptive_burn_in,
-    derive_rng,
-    energy_estimator,
     extrapolate_linear,
-    init_reptile,
-    drift,
-    init_walker,
-    langevin_step,
-    link_action,
-    local_energy,
-    pure_estimator,
     run_reptation,
     sample_local_energy_series,
     vmc_estimate,
 )
+from sptqmc.rqmc import (
+    ReptationSampler,
+    Reptile,
+    acceptance_probability,
+    adaptive_burn_in,
+    energy_estimator,
+    init_reptile,
+    link_action,
+    pure_estimator,
+)
+from sptqmc.walker import derive_rng, drift, init_walker, langevin_step, local_energy
 
 ALPHA = 1.2
 

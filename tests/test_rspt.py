@@ -176,6 +176,11 @@ class TestEpsilonSeries:
             for mono, _ in result.epsilon.sorted_terms():
                 assert monomial_weight(mono) == n
 
+    def test_monomial_weight_is_the_order(self):
+        series = epsilon_series(8)
+        for n, result in series.items():
+            assert all(mono.weight() == n for mono in result.epsilon.terms)
+
     def test_no_g1_derivatives(self):
         series = epsilon_series(8, order_cap=10)
         for result in series.values():

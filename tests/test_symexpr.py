@@ -132,6 +132,24 @@ class TestRingLaws:
         assert a * (b + c) == a * b + a * c
 
 
+class TestNoZeroCoefficients:
+    """Every operation drops a coefficient that cancels to zero."""
+
+    @settings(max_examples=60)
+    @given(expressions(), expressions())
+    def test_ring_operations(self, a, b):
+        for result in (a + b, a - b, a * b, a - a, differentiate_z(a)):
+            assert 0 not in result.terms.values()
+        assert (a - a).is_zero()
+
+    @settings(max_examples=60)
+    @given(expressions())
+    def test_construction_merges_and_drops(self, a):
+        pairs = list(a.terms.items()) + [(m, -c) for m, c in a.terms.items()] + [(GMonomial(), 0)]
+        assert GExpression(pairs).is_zero()
+        assert GExpression(list(a.terms.items()) * 2) == 2 * a
+
+
 class TestDifferentiation:
     def test_single_variable_rule(self):
         assert differentiate_z(g(2)) == g(2, 1)
