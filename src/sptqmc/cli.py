@@ -4,7 +4,8 @@ Subcommands: symbolic, spectral, vmc, spt-orders, rqmc.  Runs are
 configured through flat `key = value` files (optional [section] headers
 are organizational only), every random number flows from one master
 seed, and each run can write a canonical JSON report.  Reports are
-byte-identical for identical config + seed + single worker: wall time
+byte-identical for identical config + seed, for any `workers` and any
+core count: each worker's chain draws from its own stream, wall time
 goes to stderr, never into the file, and JSON keys are sorted.
 """
 
@@ -27,6 +28,7 @@ from importlib import metadata
 import numpy as np
 
 from . import estimators, rqmc, rspt, spectral, symexpr, walker
+from .parallel import fork_map
 
 SCHEMA_VERSION = 1
 SUBCOMMANDS = ("symbolic", "spectral", "vmc", "spt-orders", "rqmc")
@@ -555,9 +557,9 @@ def _obtain_series(params: dict, seed: int, worker: int = 0) -> estimators.Local
 def _run_vmc(config: RunConfig) -> tuple[dict, list[str]]:
     params = config.parameters
     workers = params["workers"] if not params.get("series") else 1
-    chains = []
-    for w in range(workers):
-        chains.append(estimators.vmc_estimate(_obtain_series(params, config.seed, w)))
+    chains = fork_map(
+        lambda w: estimators.vmc_estimate(_obtain_series(params, config.seed, w)), range(workers)
+    )
     merged = estimators.merge_estimates(chains)
     results = {
         "energy": _estimate_dict(merged),
@@ -602,9 +604,7 @@ def _spt_orders_chain(params: dict, seed: int, worker: int):
 def _run_spt_orders(config: RunConfig) -> tuple[dict, list[str]]:
     params = config.parameters
     workers = params["workers"] if not params.get("series") else 1
-    per_worker = [
-        _spt_orders_chain(params, config.seed, w) for w in range(workers)
-    ]
+    per_worker = fork_map(lambda w: _spt_orders_chain(params, config.seed, w), range(workers))
     integrals = [row[0] for row in per_worker]
     merged_integral = estimators.merge_estimates(integrals)
     max_order = params["max_order"]
@@ -641,23 +641,15 @@ def _run_rqmc(config: RunConfig) -> tuple[dict, list[str]]:
     params = config.parameters
     trial, potential = _build_trial_potential(params)
     workers = params["workers"]
-    runs = []
-    for w in range(workers):
-        rng = walker.derive_rng(config.seed, "rqmc-chain", w)
-        runs.append(
-            rqmc.run_reptation(
-                trial,
-                potential,
-                n_beads=params["n_beads"],
-                epsilon=params["epsilon"],
-                sweeps=params["sweeps"],
-                rng=rng,
-                burn_in_sweeps=params["burn_in_sweeps"],
-                direction_policy=params["direction_policy"],
-                proposal_correction=params["proposal_correction"],
-                equilibration_steps=params["equilibration_steps"],
-            )
-        )
+    run_keys = ("n_beads", "epsilon", "sweeps", "burn_in_sweeps", "direction_policy",
+                "proposal_correction", "equilibration_steps")
+    options = {key: params[key] for key in run_keys}
+    runs = fork_map(
+        lambda w: rqmc.run_reptation(
+            trial, potential, rng=walker.derive_rng(config.seed, "rqmc-chain", w), **options
+        ),
+        range(workers),
+    )
     if params.get("series_out"):
         _write_sweeps_csv(params["series_out"], runs[0])
     energy = estimators.merge_estimates([r.energy for r in runs])

@@ -23,6 +23,7 @@ import numpy as np
 from mpmath import mp
 
 from . import rspt
+from .parallel import fork_map
 from .symexpr import GVar, evaluate
 
 SYMMETRY_TOL = 1e-12
@@ -235,7 +236,11 @@ def laurent_oracle(
                     return total
                 continue
 
-        values = [chain_sum(z) * z ** (n - 1) for z in zs]
+        def term(z):
+            with mp.workdps(dps):
+                return chain_sum(z) * z ** (n - 1)
+
+        values = fork_map(term, zs)
         # fit in u = z/zmax to keep the Vandermonde well conditioned
         coeffs, resid = _mp_polyfit([z / zmax for z in zs], values, degree)
         floor = max(abs(v) for v in values) or mp.mpf(1)
@@ -285,11 +290,13 @@ def taylor_oracle(
         for i in range(model.dim):
             for j in range(model.dim):
                 wmp[i, j] = mp.mpf(model.wmat[i, j])
+
+        def lowest_two(lam):
+            with mp.workdps(dps):
+                return sorted(mp.eigsy(hmat0 + lam * wmp, eigvals_only=True))[:2]
+
         ground = []
-        for lam in lam_mp:
-            hmat = hmat0 + lam * wmp
-            ev = mp.eigsy(hmat, eigvals_only=True)
-            ev = sorted(ev)
+        for lam, ev in zip(lam_mp, fork_map(lowest_two, lam_mp)):
             if ev[1] - ev[0] < 0.5 * gap0:
                 raise DegeneracyError(
                     f"ground gap {float(ev[1] - ev[0]):.3e} at lambda={float(lam):.3e} "
