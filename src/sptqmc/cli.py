@@ -557,9 +557,7 @@ def _obtain_series(params: dict, seed: int, worker: int = 0) -> estimators.Local
 def _run_vmc(config: RunConfig) -> tuple[dict, list[str]]:
     params = config.parameters
     workers = params["workers"] if not params.get("series") else 1
-    chains = fork_map(
-        lambda w: estimators.vmc_estimate(_obtain_series(params, config.seed, w)), range(workers)
-    )
+    chains = fork_map(lambda w: estimators.vmc_estimate(_obtain_series(params, config.seed, w)), range(workers))
     merged = estimators.merge_estimates(chains)
     results = {
         "energy": _estimate_dict(merged),
@@ -645,9 +643,7 @@ def _run_rqmc(config: RunConfig) -> tuple[dict, list[str]]:
                 "proposal_correction", "equilibration_steps")
     options = {key: params[key] for key in run_keys}
     runs = fork_map(
-        lambda w: rqmc.run_reptation(
-            trial, potential, rng=walker.derive_rng(config.seed, "rqmc-chain", w), **options
-        ),
+        lambda w: rqmc.run_reptation(trial, potential, rng=walker.derive_rng(config.seed, "rqmc-chain", w), **options),
         range(workers),
     )
     if params.get("series_out"):

@@ -11,8 +11,11 @@ _FN = None  # the function being mapped; fork, unlike spawn, hands closures to t
 def _call(item):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = _FN(item)
-    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        try:
+            outcome = _FN(item), None
+        except Exception as exc:  # handed back with the warnings issued before it
+            outcome = None, exc
+    return *outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 def fork_map(fn, items) -> list:
@@ -38,9 +41,11 @@ def fork_map(fn, items) -> list:
     results, registry = [], {}  # one warning registry per map, as the warnings of one loop share one
     try:
         with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork")) as pool:
-            for result, caught in pool.map(_call, items):
+            for result, error, caught in pool.map(_call, items):
                 for message, category, filename, lineno in caught:
                     warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+                if error is not None:
+                    raise error
                 results.append(result)
     finally:
         _FN = None

@@ -236,11 +236,7 @@ def laurent_oracle(
                     return total
                 continue
 
-        def term(z):
-            with mp.workdps(dps):
-                return chain_sum(z) * z ** (n - 1)
-
-        values = fork_map(term, zs)
+        values = [chain_sum(z) * z ** (n - 1) for z in zs]
         # fit in u = z/zmax to keep the Vandermonde well conditioned
         coeffs, resid = _mp_polyfit([z / zmax for z in zs], values, degree)
         floor = max(abs(v) for v in values) or mp.mpf(1)
@@ -295,8 +291,10 @@ def taylor_oracle(
             with mp.workdps(dps):
                 return sorted(mp.eigsy(hmat0 + lam * wmp, eigvals_only=True))[:2]
 
+        # a process pool costs 20-40 ms on 2 cores, more than a grid below dim 8
+        spread = fork_map if model.dim >= 8 else lambda fn, xs: [fn(x) for x in xs]
         ground = []
-        for lam, ev in zip(lam_mp, fork_map(lowest_two, lam_mp)):
+        for lam, ev in zip(lam_mp, spread(lowest_two, lam_mp)):
             if ev[1] - ev[0] < 0.5 * gap0:
                 raise DegeneracyError(
                     f"ground gap {float(ev[1] - ev[0]):.3e} at lambda={float(lam):.3e} "

@@ -1,6 +1,7 @@
 """fork_map, and the oracles and CLI chains giving the same bytes inline and forked."""
 
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -44,6 +45,13 @@ def _warn_then_return(x):
     return x
 
 
+def _warn_then_raise_at_one(x):
+    warnings.warn(f"item {x} warns before it fails", UserWarning)
+    if x == 1:
+        raise WindowSelectionError(f"no window for item {x}")
+    return x
+
+
 def _raise_at_two(x):
     if x == 2:
         raise WindowSelectionError(f"no window for item {x}")
@@ -82,6 +90,15 @@ class TestForkMap:
             assert parallel.fork_map(_warn_then_return, range(3)) == [0, 1, 2]
 
     @pytest.mark.parametrize("path", PATHS)
+    def test_warning_before_a_failure_reaches_the_caller(self, path, on_path):
+        on_path(path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(WindowSelectionError, match="no window for item 1"):
+                parallel.fork_map(_warn_then_raise_at_one, range(2))
+        assert [str(w.message) for w in caught] == ["item 0 warns before it fails", "item 1 warns before it fails"]
+
+    @pytest.mark.parametrize("path", PATHS)
     def test_repeated_warning_shown_once(self, path, on_path):
         on_path(path)
         with warnings.catch_warnings(record=True) as caught:
@@ -105,13 +122,12 @@ class TestOraclesInlineEqualForked:
         assert forked.coeffs.tolist() == inline.coeffs.tolist()
         assert forked.fit_residual == inline.fit_residual
 
-    @MULTICORE
-    def test_laurent_oracle(self, on_path):
-        model = spectral.random_model(5, dim=6)
-        on_path("inline")
-        inline = spectral.laurent_oracle(model, 4)
-        on_path("forked")
-        assert spectral.laurent_oracle(model, 4) == inline
+    def test_small_model_grid_runs_inline(self, monkeypatch):
+        def no_fork(fn, items):
+            raise AssertionError("a dim-2 grid was handed to fork_map")
+
+        monkeypatch.setattr(spectral, "fork_map", no_fork)
+        assert spectral.taylor_oracle(spectral.random_model(1, dim=2), 2).coeffs.shape == (2,)
 
 
 def _run_cli(tmp_path, sub, keys, capsys):
@@ -143,6 +159,25 @@ class TestCliInlineEqualForked:
         forked = _run_cli(tmp_path, sub, keys, capsys)
         assert inline[0] == 0 and inline[3] is not None
         assert forked == inline
+
+    @pytest.mark.skipif(shutil.which("taskset") is None, reason="pinning to one core needs taskset")
+    def test_pinned_to_one_core_gives_the_same_report(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WALKER_KEYS)
+        report = tmp_path / "report.json"
+        env = {**os.environ, "PYTHONPATH": SRC}
+        one_core = ["taskset", "-c", str(min(os.sched_getaffinity(0)))]
+        reports = []
+        for pin in (one_core, []):
+            proc = subprocess.run(
+                [*pin, sys.executable, "-m", "sptqmc", "vmc", "--config", str(cfg), "--seed", "3",
+                 "--output", str(report)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append(report.read_bytes())
+            report.unlink()
+        assert reports[0] == reports[1]
 
     def test_short_chain_is_the_same_compute_error(self, tmp_path, capsys, on_path):
         keys = WALKER_KEYS.replace("steps = 20000", "steps = 500").replace("burn_in = 500", "burn_in = 100")
