@@ -12,6 +12,10 @@ errors the command line maps to exit codes.  Everything else is imported
 from its module, e.g. sptqmc.rqmc.Reptile or sptqmc.spectral.random_model.
 """
 
+from time import perf_counter as _perf_counter
+
+_STARTED = _perf_counter()  # before numpy loads: the wall time `spt` prints counts the imports
+
 from .estimators import (
     EstimateWithError,
     LocalEnergySeries,

@@ -22,13 +22,14 @@ import tempfile
 import time
 import warnings
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from importlib import metadata
 
 import numpy as np
 
-from . import estimators, rqmc, rspt, spectral, symexpr, walker
-from .parallel import fork_map
+from . import _STARTED, estimators, rqmc, rspt, spectral, symexpr, walker
+from .parallel import fork_imap, fork_map
 
 SCHEMA_VERSION = 1
 SUBCOMMANDS = ("symbolic", "spectral", "vmc", "spt-orders", "rqmc")
@@ -56,8 +57,8 @@ class RunConfig:
 class RunReport:
     """In-memory run record; `report` is the serializable payload.
 
-    Wall time is carried on the object and printed to stderr but kept
-    out of the serialized report so reruns stay byte-identical.
+    The run's wall time is carried on the object but kept out of the
+    serialized report so reruns stay byte-identical.
     """
 
     report: dict
@@ -355,10 +356,9 @@ def _estimate_dict(est: estimators.EstimateWithError) -> dict:
 
 
 def _csv_chunks(header: str, n_rows: int, rows: Callable[[int, int], str]) -> Iterator[str]:
-    """The header, then rows(start, stop) over consecutive blocks of CSV_CHUNK_ROWS rows."""
+    """The header, then rows(start, stop) over blocks of CSV_CHUNK_ROWS rows, formatted on every usable core."""
     yield header
-    for start in range(0, n_rows, CSV_CHUNK_ROWS):
-        yield rows(start, min(start + CSV_CHUNK_ROWS, n_rows))
+    yield from fork_imap(lambda start: rows(start, min(start + CSV_CHUNK_ROWS, n_rows)), range(0, n_rows, CSV_CHUNK_ROWS))
 
 
 def write_series_csv(path: str, series: estimators.LocalEnergySeries) -> None:
@@ -536,28 +536,46 @@ def _run_spectral(config: RunConfig) -> tuple[dict, list[str]]:
 
 
 def _obtain_series(params: dict, seed: int, worker: int = 0) -> estimators.LocalEnergySeries:
-    """Worker's series, read from `series` or sampled; worker 0 saves it to `series_out`."""
+    """Worker's series, read from `series` or sampled."""
     if params.get("series"):
-        series = read_series_csv(params["series"])
-    else:
-        trial, potential = _build_trial_potential(params)
-        series = walker.sample_local_energy_series(
-            trial,
-            potential,
-            epsilon=params["epsilon"],
-            steps=params["steps"],
-            burn_in=params["burn_in"],
-            rng=walker.derive_rng(seed, "vmc-chain", worker),
-        )
-    if worker == 0 and params.get("series_out"):
-        write_series_csv(params["series_out"], series)
-    return series
+        return read_series_csv(params["series"])
+    rng = walker.derive_rng(seed, "vmc-chain", worker)
+    keys = {key: params[key] for key in ("epsilon", "steps", "burn_in")}
+    return walker.sample_local_energy_series(*_build_trial_potential(params), rng=rng, **keys)
+
+
+def _run_chains(params: dict, seed: int, analyse: Callable) -> list:
+    """analyse(series) for each worker's series, in worker order; worker 0's series is saved to
+    `series_out` here, after the chains so the writer can fork too, and before a chain's error is raised."""
+    workers = params["workers"] if not params.get("series") else 1
+    save = params.get("series_out")
+
+    def chain(worker: int):
+        series = result = error = None
+        try:
+            series = _obtain_series(params, seed, worker)
+            result = analyse(series)
+        except Exception as exc:  # raised in the caller, after worker 0's series is saved
+            error = exc
+        return result, error, series if save and worker == 0 else None
+
+    outcomes = []
+    with closing(fork_imap(chain, range(workers))) as chains:
+        for outcome in chains:
+            outcomes.append(outcome)
+            if outcome[1] is not None:
+                break  # the chains after a failed one are not run, or are cancelled
+    results, errors, kept = zip(*outcomes)
+    if kept[0] is not None:
+        write_series_csv(save, kept[0])
+    if errors[-1] is not None:
+        raise errors[-1]
+    return list(results)
 
 
 def _run_vmc(config: RunConfig) -> tuple[dict, list[str]]:
     params = config.parameters
-    workers = params["workers"] if not params.get("series") else 1
-    chains = fork_map(lambda w: estimators.vmc_estimate(_obtain_series(params, config.seed, w)), range(workers))
+    chains = _run_chains(params, config.seed, estimators.vmc_estimate)
     merged = estimators.merge_estimates(chains)
     results = {
         "energy": _estimate_dict(merged),
@@ -573,8 +591,7 @@ def _run_vmc(config: RunConfig) -> tuple[dict, list[str]]:
     return results, human
 
 
-def _spt_orders_chain(params: dict, seed: int, worker: int):
-    series = _obtain_series(params, seed, worker)
+def _spt_orders_chain(params: dict, series: estimators.LocalEnergySeries):
     integral = estimators.autocorrelation_integral(series)
     tau_w = integral.autocorr_time
     if params.get("tau_grid"):
@@ -601,14 +618,9 @@ def _spt_orders_chain(params: dict, seed: int, worker: int):
 
 def _run_spt_orders(config: RunConfig) -> tuple[dict, list[str]]:
     params = config.parameters
-    workers = params["workers"] if not params.get("series") else 1
-    per_worker = fork_map(lambda w: _spt_orders_chain(params, config.seed, w), range(workers))
-    integrals = [row[0] for row in per_worker]
-    merged_integral = estimators.merge_estimates(integrals)
-    max_order = params["max_order"]
-    merged_orders = []
-    for n in range(max_order):
-        merged_orders.append(estimators.merge_estimates([row[3][n] for row in per_worker]))
+    per_worker = _run_chains(params, config.seed, lambda series: _spt_orders_chain(params, series))
+    merged_integral = estimators.merge_estimates([row[0] for row in per_worker])
+    merged_orders = [estimators.merge_estimates([row[3][n] for row in per_worker]) for n in range(params["max_order"])]
     first_diag = per_worker[0][4]
     results = {
         "epsilon_n": {
@@ -622,7 +634,7 @@ def _run_spt_orders(config: RunConfig) -> tuple[dict, list[str]]:
             "r2": first_diag["r2"],
             "slopes": first_diag["slopes"],
             "intercepts": first_diag["intercepts"],
-            "workers": workers,
+            "workers": len(per_worker),
         },
     }
     human = [f"tau_W = {results['tau_w']!r}"]
@@ -784,6 +796,8 @@ _COMPUTE_ERRORS = (
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run `spt` on argv, or on the command line; the wall time printed for the command line counts the imports too."""
+    start = _STARTED if argv is None else time.perf_counter()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -806,7 +820,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"output error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-    print(f"wall time: {report.wall_time:.3f} s", file=sys.stderr)
+    print(f"wall time: {time.perf_counter() - start:.3f} s", file=sys.stderr)
     return 0
 
 

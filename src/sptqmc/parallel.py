@@ -1,9 +1,11 @@
-"""Independent items (oracle grid points, CLI chains) on forked processes, one per usable core."""
+"""Independent items (oracle grid points, CLI chains, CSV blocks) on forked processes, one per usable core."""
 
 from __future__ import annotations
 
 import os
 import warnings
+from collections import deque
+from itertools import islice
 
 _FN = None  # the function being mapped; fork, unlike spawn, hands closures to the children unpickled
 
@@ -18,14 +20,17 @@ def _call(item):
     return *outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
-def fork_map(fn, items) -> list:
-    """[fn(x) for x in items], in item order, on up to one forked process per usable core.
+def fork_imap(fn, items):
+    """Yield fn(x) for x in items, in item order, computed on up to one forked process per usable core.
 
-    Runs inline on one core or one item, inside another fork_map, or where
-    the platform cannot fork.  A child's exception is raised here at its
-    item, and the children's warnings are re-issued here in item order.
+    Runs inline on one core or one item, inside another map (or while a
+    forked one is open), or where the platform cannot fork.  At most two
+    items per process are in flight ahead of the consumer.  A child's
+    exception is raised here at its item, and the children's warnings are
+    re-issued here in item order.  Closing the generator early cancels the
+    items not yet started.
 
-    >>> fork_map(abs, [-3, 1, -2])
+    >>> list(fork_imap(abs, [-3, 1, -2]))
     [3, 1, 2]
     """
     global _FN
@@ -33,20 +38,32 @@ def fork_map(fn, items) -> list:
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     processes = min(len(items), cores)
     if processes < 2 or _FN is not None or not hasattr(os, "fork"):
-        return [fn(x) for x in items]
+        yield from map(fn, items)
+        return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     _FN = fn
-    results, registry = [], {}  # one warning registry per map, as the warnings of one loop share one
+    registry = {}  # one warning registry per map, as the warnings of one loop share one
     try:
-        with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork")) as pool:
-            for result, error, caught in pool.map(_call, items):
+        pool = ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"))
+        try:
+            todo = iter(items)
+            pending = deque(pool.submit(_call, x) for x in islice(todo, 2 * processes))
+            while pending:
+                result, error, caught = pending.popleft().result()
+                pending.extend(pool.submit(_call, x) for x in islice(todo, 1))
                 for message, category, filename, lineno in caught:
                     warnings.warn_explicit(message, category, filename, lineno, registry=registry)
                 if error is not None:
                     raise error
-                results.append(result)
+                yield result
+        finally:
+            pool.shutdown(cancel_futures=True)
     finally:
         _FN = None
-    return results
+
+
+def fork_map(fn, items) -> list:
+    """[fn(x) for x in items], computed as fork_imap computes them."""
+    return list(fork_imap(fn, items))

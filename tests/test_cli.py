@@ -7,6 +7,7 @@ import sys
 import tempfile
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from sptqmc.cli import (
     run,
     write_series_csv,
 )
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 TWO_LEVEL_MODEL = """\
 # symmetric two-level coupling
@@ -681,6 +684,39 @@ class TestRunDirect:
 
 
 class TestInstalledEntryPoints:
+    def test_wall_time_counts_the_imports(self):
+        code = (
+            "import sys, time\n"
+            "start = time.perf_counter()\n"
+            "import sptqmc.cli\n"
+            "print(time.perf_counter() - start)\n"
+            "sys.argv = ['spt', 'symbolic', '--order', '1']\n"
+            "sys.exit(sptqmc.cli.main())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 0, proc.stderr
+        imported = float(proc.stdout.splitlines()[0])
+        printed = float(proc.stderr.split("wall time:")[1].split()[0])
+        assert printed >= imported - 0.0005  # printed to the millisecond
+
+    def test_runs_with_scipy_blocked(self, tmp_path):
+        # scipy is a test dependency only: a Gaussian walk and its series file need none of it
+        (tmp_path / "run.cfg").write_text(
+            "alpha = 1.2\nepsilon = 0.01\nsteps = 150000\nburn_in = 1000\nworkers = 2\nseries_out = s.csv\n"
+        )
+        outputs = []
+        for block in ("sys.modules['scipy'] = None", "pass"):
+            code = (
+                f"import sys\n{block}\nfrom sptqmc.cli import main\n"
+                "sys.exit(main(['vmc', '--config', 'run.cfg', '--seed', '2', '--output', 'r.json']))\n"
+            )
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                                  cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC})
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([proc.stdout] + [(tmp_path / name).read_bytes() for name in ("r.json", "s.csv")])
+        assert outputs[0] == outputs[1]
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "sptqmc", "symbolic", "--order", "2"],

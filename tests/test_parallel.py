@@ -4,13 +4,15 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sptqmc import parallel, spectral
-from sptqmc.cli import EXIT_COMPUTE, EXIT_CONFIG, main
+from sptqmc import LocalEnergySeries, parallel, spectral, walker
+from sptqmc.cli import CSV_CHUNK_ROWS, EXIT_COMPUTE, EXIT_CONFIG, main, write_series_csv
 from sptqmc.estimators import WindowSelectionError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -196,6 +198,76 @@ class TestCliInlineEqualForked:
             on_path(path)
             assert main(["vmc", "--config", str(cfg)]) == EXIT_CONFIG
             assert capsys.readouterr().err.startswith("config error:")
+
+
+class TestSeriesOutOnEveryExit:
+    """series_out is written in the caller, after the chains, on success and on a chain's failure alike."""
+
+    SHORT = "alpha = 1.2\nepsilon = 0.05\nsteps = 500\nburn_in = 100\n"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("sub", ["vmc", "spt-orders"])
+    @pytest.mark.parametrize("path", PATHS)
+    def test_short_chain_fails_and_keeps_worker_0_series(self, sub, workers, path, tmp_path, capsys, on_path):
+        on_path(path)
+        code, err, report, csv = _run_cli(tmp_path, sub, self.SHORT + f"workers = {workers}\n", capsys)
+        failure = {"vmc": "need >= 1000 post-burn-in samples, got 500", "spt-orders": "not in the asymptotic linear regime"}
+        assert (code, report) == (EXIT_COMPUTE, None)
+        assert err.startswith("compute error: ") and failure[sub] in err
+        expected = tmp_path / "expected.csv"
+        write_series_csv(str(expected), walker.sample_local_energy_series(
+            walker.GaussianTrial(1.2), walker.HarmonicPotential(), epsilon=0.05, steps=500, burn_in=100,
+            rng=walker.derive_rng(3, "vmc-chain", 0),
+        ))
+        assert csv == expected.read_bytes()
+
+    def test_chains_after_a_failed_one_are_not_run(self, tmp_path, capsys, on_path, monkeypatch):
+        on_path("inline")
+        sample, calls = walker.sample_local_energy_series, []
+        monkeypatch.setattr(walker, "sample_local_energy_series", lambda *a, **k: calls.append(1) or sample(*a, **k))
+        assert _run_cli(tmp_path, "vmc", self.SHORT + "workers = 3\n", capsys)[0] == EXIT_COMPUTE
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("sub", ["vmc", "spt-orders"])
+    def test_series_out_in_a_missing_directory(self, sub, workers, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WALKER_KEYS.replace("workers = 2", f"workers = {workers}")
+                       + f"series_out = {tmp_path / 'no' / 'such.csv'}\n")
+        assert main([sub, "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_one_core_and_two_write_the_same_bytes(self, tmp_path, on_path):
+        values = np.random.default_rng(4).normal(size=3 * CSV_CHUNK_ROWS + 7)
+        series = LocalEnergySeries(values=values, step=0.005, burn_in=11)
+        files = []
+        for path in ("inline", "forked"):
+            on_path(path)
+            files.append(tmp_path / f"{path}.csv")
+            write_series_csv(str(files[-1]), series)
+        assert len({f.read_bytes() for f in files}) == 1
+
+
+class TestForkImap:
+    @MULTICORE
+    def test_abandoned_generator_resets_the_map(self):
+        for _ in parallel.fork_imap(lambda x: x, range(6)):
+            break
+        assert parallel._FN is None
+        assert os.getpid() not in parallel.fork_map(lambda _: os.getpid(), range(2))
+
+    @MULTICORE
+    def test_items_in_flight_are_bounded(self, tmp_path):
+        def touch(x):
+            (tmp_path / str(x)).touch()
+            return x
+
+        results = parallel.fork_imap(touch, range(40))
+        assert next(results) == 0
+        time.sleep(1.0)  # unbounded, every item would be done by now
+        started = len(list(tmp_path.iterdir()))
+        assert list(results) == list(range(1, 40))
+        assert started <= 2 * len(os.sched_getaffinity(0)) + 1
 
 
 @MULTICORE

@@ -1,8 +1,10 @@
 """Langevin walker: drift, local energy, propagation, and sampling laws."""
 
+import ast
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +323,57 @@ POSITIONS = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 NORMALS = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
 
 
+def lfilter_walk(alpha, epsilon, total, dim, initial, seed):
+    """The Gaussian walk as scipy.signal.lfilter runs it: trajectory and the rng it leaves."""
+    lfilter = pytest.importorskip("scipy.signal").lfilter
+    rng = np.random.default_rng(seed)
+    if initial is None:
+        start = rng.normal(0.0, GaussianTrial(alpha).equilibrium_sigma(), size=dim)
+    else:
+        start = np.array(initial, float)
+    decay = 1.0 - epsilon * alpha
+    noise = rng.normal(0.0, math.sqrt(epsilon), size=(total, dim))
+    return lfilter([1.0], [1.0, -decay], noise, axis=0, zi=(decay * start)[np.newaxis, :])[0], rng
+
+
+def scan_walk(alpha, epsilon, total, dim, initial, seed):
+    rng = np.random.default_rng(seed)
+    _, trajectory = sample_local_energy_series(
+        GaussianTrial(alpha, dim), HarmonicPotential(), epsilon=epsilon, steps=total, rng=rng,
+        initial=initial, return_positions=True,
+    )
+    return trajectory, rng
+
+
+class TestGaussianScan:
+    """The in-place AR(1) scan against the lfilter call it replaced, bit for bit."""
+
+    def assert_bitwise_equal(self, *walk):
+        expected, expected_rng = lfilter_walk(*walk)
+        got, got_rng = scan_walk(*walk)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert got_rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_walk_length(self):
+        self.assert_bitwise_equal(1.2, 0.005, 2_020_000, 1, None, 1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        alpha_epsilon=st.tuples(st.floats(0.05, 5.0), st.floats(1e-4, 0.4)),
+        dim=st.integers(1, 3),
+        blocks=st.integers(1, 2),
+        offset=st.sampled_from([-1, 0, 1]),
+        start=st.one_of(st.none(), st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(alpha_epsilon=(1.0, 0.01), dim=2, blocks=1, offset=0, start=-0.0, seed=0)
+    def test_block_edges_and_start_values(self, alpha_epsilon, dim, blocks, offset, start, seed):
+        alpha, epsilon = alpha_epsilon
+        initial = None if start is None else [start] * dim
+        self.assert_bitwise_equal(alpha, epsilon, 65536 * blocks + offset, dim, initial, seed)
+
+
 class TestScalarLangevin:
     """The float closures must reproduce the numpy code to the last bit."""
 
@@ -426,6 +479,19 @@ class TestImportCost:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_no_module_imports_scipy(self):
+        import sptqmc
+
+        for path in Path(sptqmc.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not any(name.split(".")[0] == "scipy" for name in names), (path.name, node.lineno)
 
     def test_import_loads_no_process_pool(self):
         code = (
