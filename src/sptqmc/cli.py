@@ -514,7 +514,7 @@ def _run_spectral(config: RunConfig) -> tuple[dict, list[str]]:
     eps = [float(v) for v in spectral.evaluate_epsilons(model, order)]
     rows = []
     if params["oracle"]:
-        oracle = spectral.taylor_oracle(model, order)
+        oracle = spectral.rs_oracle(model, order)
         header = "n,epsilon_n,oracle_c_n,rel_diff"
         for n in range(1, order + 1):
             c = float(oracle[n])
@@ -525,7 +525,7 @@ def _run_spectral(config: RunConfig) -> tuple[dict, list[str]]:
             "orders": {
                 str(n): {"epsilon": e, "oracle": c, "rel_diff": d} for n, e, c, d in rows
             },
-            "oracle_fit_residual": oracle.fit_residual,
+            "oracle_self_check": oracle.self_check,
         }
     else:
         header = "n,epsilon_n"

@@ -68,11 +68,6 @@ class LocalEnergySeries:
     def analysis_values(self) -> np.ndarray:
         return self.values[self.burn_in:]
 
-    @property
-    def duration(self) -> float:
-        """Simulated time span of the analysis window."""
-        return self.analysis_values.size * self.step
-
 
 @dataclass(frozen=True)
 class EstimateWithError:

@@ -300,49 +300,6 @@ class ReptationSampler:
 # estimators over sampled reptiles
 
 
-def energy_estimator(samples, step: float = 1.0) -> EstimateWithError:
-    """Ground-state energy from two-end averages over sampled reptiles.
-
-    samples may be an iterable of Reptile snapshots or a plain array of
-    per-sample (W_head + W_tail)/2 values; errors come from blocking
-    over the sample sequence.
-    """
-    values = _end_values(samples)
-    return _blocked(values, step)
-
-
-def pure_estimator(
-    observable: Callable,
-    samples,
-    step: float = 1.0,
-    *,
-    projection_time: float = 1.0,
-) -> EstimateWithError:
-    """Middle-bead average of an observable over sampled reptiles."""
-    samples = list(samples) if not isinstance(samples, np.ndarray) else samples
-    if len(samples) and isinstance(samples[0], Reptile):
-        tau = samples[0].path_length
-        if tau < 2.0 * projection_time:
-            warnings.warn(
-                f"path length {tau:.3g} below twice the projection time "
-                f"{projection_time:.3g}; middle-bead estimates stay biased toward the trial",
-                stacklevel=2,
-            )
-        values = np.array([float(observable(r.middle)) for r in samples])
-    else:
-        values = np.array([float(observable(v)) for v in samples])
-    return _blocked(values, step)
-
-
-def _end_values(samples) -> np.ndarray:
-    if isinstance(samples, np.ndarray):
-        return samples.astype(float)
-    out = []
-    for item in samples:
-        out.append(item.end_energy() if isinstance(item, Reptile) else float(item))
-    return np.array(out)
-
-
 def _blocked(values: np.ndarray, step: float) -> EstimateWithError:
     n = values.size
     if n < 2:

@@ -2,14 +2,15 @@
 
 A model is a split Hamiltonian H = diag(E) + W with the ground level
 pinned at E_0 = 0.  This module evaluates the chain sums g_n^(l) that
-the symbolic corrections are written in, and provides two independent
-brute-force oracles for cross-checking them: a Laurent fit of the
-resolvent-like sums G_n(z), and a Taylor fit of the exact ground-state
-energy E_0(lambda) from repeated diagonalization.
+the symbolic corrections are written in, and provides three independent
+oracles for cross-checking them: the textbook Rayleigh-Schrodinger
+wavefunction recursion, a Laurent fit of the resolvent-like sums G_n(z),
+and a Taylor fit of the exact ground-state energy E_0(lambda) from
+repeated diagonalization.
 
 Sign convention: g_n^(l) carries the prefactor l!(-1)^l, the sign forced
 by the generating function of the complete homogeneous polynomials and
-by epsilon_2 = -g_2 <= 0.  Both oracles pin this convention down.
+by epsilon_2 = -g_2 <= 0.  The oracles pin this convention down.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ import numpy as np
 from mpmath import mp
 
 from . import rspt
-from .parallel import fork_map
 from .symexpr import GVar, evaluate
 
 SYMMETRY_TOL = 1e-12
+# an oracle coefficient must be known to this fraction of max(|c_n|, 1e-10)
+ORACLE_TOL = 1e-6
 
 
 class ModelValidationError(ValueError):
@@ -79,10 +81,14 @@ class SpectralModel:
 
 @dataclass(frozen=True)
 class TaylorCoefficients:
-    """Taylor coefficients c_1..c_N of E_0(lambda) at lambda = 0."""
+    """Taylor coefficients c_1..c_N of E_0(lambda) at lambda = 0.
+
+    self_check is the oracle's own largest relative doubt about a c_n,
+    over max(|c_n|, 1e-10); rs_oracle and taylor_oracle say how.
+    """
 
     coeffs: np.ndarray
-    fit_residual: float
+    self_check: float
 
     def __getitem__(self, n: int) -> float:
         if n < 1 or n > self.coeffs.size:
@@ -164,8 +170,9 @@ def evaluate_lambdas(model: SpectralModel, n: int) -> tuple[float, float]:
 def _mp_polyfit(us, values, degree: int):
     """Least-squares polynomial fit at the working mp precision.
 
-    Returns the coefficients of u^0..u^degree and the largest absolute
-    residual over the points.
+    Returns the coefficients of u^0..u^degree, the largest absolute
+    residual over the points, and the error each coefficient inherits
+    from noise of that residual's size in the values.
     """
     vander = mp.matrix(len(us), degree + 1)
     for i, u in enumerate(us):
@@ -176,7 +183,9 @@ def _mp_polyfit(us, values, degree: int):
     rhs = mp.matrix(values)
     coeffs = mp.qr_solve(vander, rhs)[0]
     fitted = vander * coeffs
-    return coeffs, max(abs(fitted[i] - rhs[i]) for i in range(len(us)))
+    resid = max(abs(fitted[i] - rhs[i]) for i in range(len(us)))
+    cov = mp.inverse(vander.T * vander)
+    return coeffs, resid, [resid * mp.sqrt(cov[j, j]) for j in range(degree + 1)]
 
 
 def laurent_oracle(
@@ -238,7 +247,7 @@ def laurent_oracle(
 
         values = [chain_sum(z) * z ** (n - 1) for z in zs]
         # fit in u = z/zmax to keep the Vandermonde well conditioned
-        coeffs, resid = _mp_polyfit([z / zmax for z in zs], values, degree)
+        coeffs, resid, _ = _mp_polyfit([z / zmax for z in zs], values, degree)
         floor = max(abs(v) for v in values) or mp.mpf(1)
         if resid / floor > max_residual:
             raise FitConditioningError(
@@ -251,11 +260,51 @@ def laurent_oracle(
     return float(c1), float(c0)
 
 
+def rs_oracle(model: SpectralModel, n_max: int) -> TaylorCoefficients:
+    """Taylor coefficients of E_0(lambda) from the Rayleigh-Schrodinger recursion.
+
+    E_n = <0|W|psi_{n-1}> and psi_n = R_0 (W psi_{n-1} - sum_k E_k psi_{n-k})
+    with psi_0 = |0>, <0|psi_n> = 0 and R_0 = -Q/E_k, at mp dps 40.  It
+    forms no chain sums or Bell polynomials, so it checks
+    evaluate_epsilons independently and exactly at every order.
+    self_check compares each E_n from order 3 up with Wigner's 2n+1 rule,
+    which rebuilds it from psi_0..psi_{n//2}.
+    """
+    if n_max < 1:
+        raise ValueError(f"rs_oracle requires n_max >= 1, got {n_max}")
+    with mp.workdps(40):
+        wmat = [[mp.mpf(x) for x in row] for row in model.wmat.tolist()]
+        resolvent = [mp.mpf(0)] + [-1 / mp.mpf(e) for e in model.energies[1:].tolist()]
+        psi = [[mp.mpf(1)] + [mp.mpf(0)] * (model.dim - 1)]
+        w_psi: list[list] = []
+        energies = [None]  # energies[n] = E_n
+        for n in range(1, n_max + 1):
+            w_psi.append([mp.fdot(row, psi[-1]) for row in wmat])
+            energies.append(w_psi[-1][0])
+            if n < n_max:
+                psi.append([
+                    r * (w - mp.fsum(energies[k] * psi[n - k][i] for k in range(1, n)))
+                    for i, (r, w) in enumerate(zip(resolvent, w_psi[-1]))
+                ])
+        gap = mp.mpf(0)
+        for m in range(3, n_max + 1):
+            half = m // 2
+            lead = psi[half - 1] if m % 2 == 0 else psi[half]
+            rule = mp.fdot(lead, w_psi[half]) - mp.fsum(
+                energies[m - k - l] * mp.fdot(psi[k], psi[l])
+                for k in range(1, half + 1)
+                for l in range(1, half + 1 - (m % 2 == 0))
+            )
+            gap = max(gap, abs(rule - energies[m]) / max(abs(energies[m]), mp.mpf(1e-10)))
+        coeffs = np.array([float(e) for e in energies[1:]])
+    return TaylorCoefficients(coeffs=coeffs, self_check=float(gap))
+
+
 def taylor_oracle(
     model: SpectralModel,
     n_max: int,
     *,
-    dps: int = 40,
+    dps: int | None = None,
     scale: float = 1e-3,
 ) -> TaylorCoefficients:
     """Taylor coefficients of E_0(lambda) from exact diagonalization.
@@ -263,48 +312,50 @@ def taylor_oracle(
     Diagonalizes H(lambda) = diag(E) + lambda W on a symmetric grid of
     2 n_max + 3 couplings and least-squares fits a degree n_max + 2
     polynomial.  The grid extent satisfies lambda_max ||W|| = scale * E_1
-    with scale well below the 0.1 conditioning bound; high-precision
-    eigenvalues (default dps = 40) keep the small-grid cancellation
-    noise far below the 1e-6 oracle tolerance.
+    with scale well below the 0.1 conditioning bound.  Coefficient n is
+    read from a change of order lambda_max^n in the eigenvalues, so the
+    default precision is the digit budget
+    dps = max(40, ceil(12 + n_max log10(1/lambda_max))).  The fit
+    residual, carried into each coefficient, must stay below ORACLE_TOL
+    of max(|c_n|, 1e-10); otherwise FitConditioningError is raised.
     """
     if n_max < 1:
         raise ValueError(f"taylor_oracle requires n_max >= 1, got {n_max}")
     norm_w = float(np.linalg.norm(model.wmat, 2))
     if norm_w == 0.0:
-        return TaylorCoefficients(coeffs=np.zeros(n_max), fit_residual=0.0)
+        return TaylorCoefficients(coeffs=np.zeros(n_max), self_check=0.0)
     gap0 = model.gap
     lam_max = scale * gap0 / norm_w
     half = n_max + 1
     degree = n_max + 2
+    if dps is None:
+        dps = max(40, math.ceil(12 + n_max * math.log10(1.0 / lam_max)))
 
     with mp.workdps(dps):
         lam_mp = [mp.mpf(j) * lam_max / half for j in range(-half, half + 1)]
-        hmat0 = mp.matrix(model.dim)
-        for i in range(model.dim):
-            hmat0[i, i] = mp.mpf(model.energies[i])
-        wmp = mp.matrix(model.dim)
-        for i in range(model.dim):
-            for j in range(model.dim):
-                wmp[i, j] = mp.mpf(model.wmat[i, j])
-
-        def lowest_two(lam):
-            with mp.workdps(dps):
-                return sorted(mp.eigsy(hmat0 + lam * wmp, eigvals_only=True))[:2]
-
-        # a process pool costs 20-40 ms on 2 cores, more than a grid below dim 8
-        spread = fork_map if model.dim >= 8 else lambda fn, xs: [fn(x) for x in xs]
+        hmat0 = mp.diag(model.energies.tolist())
+        wmp = mp.matrix(model.wmat.tolist())
         ground = []
-        for lam, ev in zip(lam_mp, spread(lowest_two, lam_mp)):
+        for lam in lam_mp:
+            ev = sorted(mp.eigsy(hmat0 + lam * wmp, eigvals_only=True))
             if ev[1] - ev[0] < 0.5 * gap0:
                 raise DegeneracyError(
                     f"ground gap {float(ev[1] - ev[0]):.3e} at lambda={float(lam):.3e} "
                     f"below half the unperturbed gap {gap0:.3e}"
                 )
             ground.append(ev[0])
-        coeffs, resid = _mp_polyfit([lam / lam_max for lam in lam_mp], ground, degree)
+        coeffs, _, errors = _mp_polyfit([lam / lam_max for lam in lam_mp], ground, degree)
         scale_mp = mp.mpf(lam_max)
-        cs = [float(coeffs[n] / scale_mp**n) for n in range(1, n_max + 1)]
-    return TaylorCoefficients(coeffs=np.array(cs), fit_residual=float(resid))
+        cs = [coeffs[n] / scale_mp**n for n in range(1, n_max + 1)]
+        noise, worst = max(
+            (errors[n] / scale_mp**n / max(abs(c), mp.mpf(1e-10)), n) for n, c in enumerate(cs, start=1)
+        )
+        if noise > ORACLE_TOL:
+            raise FitConditioningError(
+                f"Taylor fit at dps {dps} knows c_{worst} only to {float(noise):.1e} "
+                f"relative (bound {ORACLE_TOL:.0e}); raise dps"
+            )
+    return TaylorCoefficients(coeffs=np.array([float(c) for c in cs]), self_check=float(noise))
 
 
 def build_anharmonic_model(basis_size: int, quartic_coupling: float) -> SpectralModel:

@@ -149,9 +149,6 @@ class GExpression:
     def coefficient(self, mono: GMonomial) -> Fraction:
         return self._terms.get(mono, Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def variables(self) -> set[GVar]:
         out: set[GVar] = set()
         for mono in self._terms:

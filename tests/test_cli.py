@@ -432,6 +432,18 @@ class TestSpectralCommand:
             assert entry["rel_diff"] < 1e-6
         assert orders["2"]["epsilon"] == pytest.approx(-0.01, rel=1e-10)
 
+    def test_oracle_exact_at_order_8_on_anharmonic_30(self, tmp_path, capsys):
+        model = tmp_path / "anharmonic.cfg"
+        model.write_text("builder = anharmonic\nbasis_size = 30\nquartic_coupling = 0.1\n")
+        out_path = tmp_path / "report.json"
+        args = ["spectral", "--model", str(model), "--order", "8", "--oracle", "--output", str(out_path)]
+        assert main(args) == 0
+        results = json.loads(out_path.read_text())["results"]
+        assert [results["orders"][str(n)]["rel_diff"] <= 1e-9 for n in range(1, 9)] == [True] * 8
+        assert results["orders"]["8"]["oracle"] == pytest.approx(-0.31448215, rel=1e-8)
+        assert results["oracle_self_check"] <= 1e-30
+        assert "oracle_fit_residual" not in results
+
     def test_plain_table(self, tmp_path, capsys):
         model = tmp_path / "twolevel.cfg"
         model.write_text(TWO_LEVEL_MODEL)

@@ -67,10 +67,9 @@ class TestLocalEnergySeries:
         with pytest.raises(ValueError):
             LocalEnergySeries(values=np.ones(10), step=0.1, burn_in=10)
 
-    def test_analysis_slice_and_duration(self):
+    def test_analysis_slice(self):
         s = LocalEnergySeries(values=np.arange(10.0), step=0.5, burn_in=3)
         assert np.array_equal(s.analysis_values, np.arange(3.0, 10.0))
-        assert s.duration == pytest.approx(3.5)
 
 
 class TestVmcEstimate:

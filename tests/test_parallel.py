@@ -1,4 +1,4 @@
-"""fork_map, and the oracles and CLI chains giving the same bytes inline and forked."""
+"""fork_map, and the CLI chains giving the same bytes inline and forked."""
 
 import os
 import shutil
@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sptqmc import LocalEnergySeries, parallel, spectral, walker
+from sptqmc import LocalEnergySeries, parallel, walker
 from sptqmc.cli import CSV_CHUNK_ROWS, EXIT_COMPUTE, EXIT_CONFIG, main, write_series_csv
 from sptqmc.estimators import WindowSelectionError
 
@@ -107,29 +107,6 @@ class TestForkMap:
             warnings.simplefilter("default")
             parallel.fork_map(_warn_then_return, range(3))
         assert len(caught) == 1
-
-
-class TestOraclesInlineEqualForked:
-    @pytest.mark.parametrize(
-        "model",
-        [spectral.build_anharmonic_model(30, 0.1), spectral.random_model(5, dim=12)],
-        ids=["anharmonic-30", "random-12"],
-    )
-    @MULTICORE
-    def test_taylor_oracle(self, model, on_path):
-        on_path("inline")
-        inline = spectral.taylor_oracle(model, 4)
-        on_path("forked")
-        forked = spectral.taylor_oracle(model, 4)
-        assert forked.coeffs.tolist() == inline.coeffs.tolist()
-        assert forked.fit_residual == inline.fit_residual
-
-    def test_small_model_grid_runs_inline(self, monkeypatch):
-        def no_fork(fn, items):
-            raise AssertionError("a dim-2 grid was handed to fork_map")
-
-        monkeypatch.setattr(spectral, "fork_map", no_fork)
-        assert spectral.taylor_oracle(spectral.random_model(1, dim=2), 2).coeffs.shape == (2,)
 
 
 def _run_cli(tmp_path, sub, keys, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,11 +25,10 @@ from sptqmc.rqmc import (
     ReptationSampler,
     Reptile,
     acceptance_probability,
+    _blocked,
     adaptive_burn_in,
-    energy_estimator,
     init_reptile,
     link_action,
-    pure_estimator,
 )
 from sptqmc.walker import derive_rng, drift, init_walker, langevin_step, local_energy
 
@@ -332,31 +332,30 @@ class TestEnergyEstimator:
         e = harmonic_run.energy
         assert abs(e.mean - 0.5) < 3.0 * e.std_error
 
-    def test_reptile_snapshots_accepted(self):
-        reptiles = [
-            Reptile([0.0, 1.0], [0.2, 0.4], 0.1),
-            Reptile([0.0, 1.0], [0.6, 0.8], 0.1),
-            Reptile([0.0, 1.0], [0.1, 0.5], 0.1),
-        ]
-        est = energy_estimator(reptiles)
-        assert est.mean == pytest.approx((0.3 + 0.7 + 0.3) / 3.0, rel=1e-12)
+    def test_reptile_snapshots_accepted(self, harmonic_run):
+        # the run blocks one end_energy per sweep: (W_head + W_tail)/2
+        ends = [Reptile([0.0, 1.0], list(pair), harmonic_run.epsilon).end_energy() for pair in harmonic_run.series]
+        assert _blocked(np.array(ends), 1.0) == harmonic_run.energy
 
     def test_plain_array_accepted(self):
-        est = energy_estimator(np.array([0.5, 0.5, 0.5, 0.5]))
+        est = _blocked(np.array([0.5, 0.5, 0.5, 0.5]), 1.0)
         assert est.mean == 0.5
         assert est.std_error == 0.0
 
     def test_too_few_samples(self):
         with pytest.raises(SeriesTooShortError):
-            energy_estimator(np.array([0.5]))
+            _blocked(np.array([0.5]), 1.0)
 
 
 class TestPureEstimator:
-    def test_unit_observable_is_exact(self, harmonic_run):
-        est = pure_estimator(lambda bead: 1.0, list(_snapshots(harmonic_run)),
-                             projection_time=0.0)
-        assert est.mean == 1.0
-        assert est.std_error == 0.0
+    def test_unit_observable_is_exact(self):
+        run = run_reptation(
+            GaussianTrial(ALPHA), HarmonicPotential(),
+            n_beads=40, epsilon=0.05, sweeps=50, seed=3, burn_in_sweeps=5,
+            observables={"one": lambda bead: 1.0}, projection_time=0.0,
+        )
+        assert run.pure_observables["one"].mean == 1.0
+        assert run.pure_observables["one"].std_error == 0.0
 
     def test_x_squared_within_3_sigma(self, harmonic_run):
         est = harmonic_run.pure_observables["x2"]
@@ -371,22 +370,17 @@ class TestPureEstimator:
         assert abs(est.mean - 0.5) < 3.0 * est.std_error
 
     def test_warns_when_path_too_short(self):
-        reptiles = [
-            Reptile([0.0, 1.0, 2.0], [0.1, 0.2, 0.3], 0.1),
-            Reptile([0.0, 1.0, 2.0], [0.2, 0.3, 0.4], 0.1),
-        ]
+        # tau = 20 links x 0.1 = 2: enough for a projection time of 1, not of 1.5
+        kwargs = dict(n_beads=21, epsilon=0.1, sweeps=5, seed=1, burn_in_sweeps=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_reptation(GaussianTrial(1.0), HarmonicPotential(), projection_time=1.0, **kwargs)
         with pytest.warns(UserWarning, match="projection"):
-            pure_estimator(lambda bead: bead, reptiles, projection_time=1.0)
+            run_reptation(GaussianTrial(1.0), HarmonicPotential(), projection_time=1.5, **kwargs)
 
     def test_value_arrays_accepted(self):
-        est = pure_estimator(lambda v: v * v, np.array([1.0, 2.0, 3.0, 2.0]))
+        est = _blocked(np.array([1.0, 4.0, 9.0, 4.0]), 1.0)
         assert est.mean == pytest.approx(4.5, rel=1e-12)
-
-
-def _snapshots(run):
-    """Rebuild minimal end-value reptiles from the per-sweep series."""
-    for w_tail, w_head in run.series:
-        yield Reptile([0.0, 1.0], [w_tail, w_head], run.epsilon)
 
 
 class TestActionCumulants:

@@ -1,9 +1,12 @@
-"""Numeric backend: models, g-values, and the two independent oracles."""
+"""Numeric backend: models, g-values, and the three independent oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sptqmc.rspt import epsilon_series
 from sptqmc.spectral import (
@@ -21,8 +24,17 @@ from sptqmc.spectral import (
     load_model,
     parse_model_text,
     random_model,
+    rs_oracle,
     taylor_oracle,
 )
+
+# Quartic oscillator H = p^2/2 + x^2/2 + g x^4: E_0 = 1/2 + sum_n c_n g^n with
+# the Bender-Wu coefficients c_n (Phys. Rev. 184, 1231, 1969).
+BENDER_WU = [
+    Fraction(3, 4), Fraction(-21, 8), Fraction(333, 16), Fraction(-30885, 128),
+    Fraction(916731, 256), Fraction(-65518401, 1024), Fraction(2723294673, 2048),
+    Fraction(-1030495099053, 32768),
+]
 
 
 def two_level(delta=1.0, a=0.0, b=0.1, c=0.0) -> SpectralModel:
@@ -216,6 +228,24 @@ class TestTaylorOracle:
         with pytest.raises(DegeneracyError):
             taylor_oracle(m, 2, scale=0.6)
 
+    def test_digit_budget_gets_anharmonic_order_8_right(self):
+        oracle = taylor_oracle(build_anharmonic_model(30, 0.1), 8)
+        for n, c in enumerate(BENDER_WU, start=1):
+            exact = float(c) * 0.1**n
+            assert abs(oracle[n] - exact) <= 1e-9 * abs(exact)
+
+    def test_too_few_digits_raise_instead_of_a_wrong_value(self):
+        # at a fixed dps 40 the order-8 coefficient of this family used to
+        # come back wrong (14009.7 for -0.31448 at basis 30) with no error
+        with pytest.raises(FitConditioningError, match="c_8"):
+            taylor_oracle(build_anharmonic_model(20, 0.1), 8, dps=40)
+
+    def test_budget_keeps_dps_40_on_small_random_models(self):
+        m = random_model(6)  # the noisiest fit of criterion 02's twenty models
+        oracle = taylor_oracle(m, 6)
+        assert oracle.coeffs.tolist() == taylor_oracle(m, 6, dps=40).coeffs.tolist()
+        assert 0.0 < oracle.self_check <= 1e-6
+
     def test_index_bounds(self):
         m = two_level()
         oracle = taylor_oracle(m, 2)
@@ -223,6 +253,50 @@ class TestTaylorOracle:
             oracle[0]
         with pytest.raises(IndexError):
             oracle[3]
+
+
+class TestRSOracle:
+    def test_bender_wu_through_order_8(self):
+        oracle = rs_oracle(build_anharmonic_model(30, 0.1), 8)
+        for n, c in enumerate(BENDER_WU, start=1):
+            exact = float(c) * 0.1**n
+            assert abs(oracle[n] - exact) <= 1e-12 * abs(exact)
+        assert oracle.self_check <= 1e-30
+
+    def test_two_level_closed_form(self):
+        # E_0 = (a + D + c - sqrt((D + c - a)^2 + 4 b^2)) / 2 with a, b, c scaled by lambda
+        delta, a, b, c = 1.0, 0.4, 0.1, -0.2
+        oracle = rs_oracle(two_level(delta=delta, a=a, b=b, c=c), 3)
+        assert oracle[1] == a
+        assert oracle[2] == pytest.approx(-b * b / delta, rel=1e-15)
+        assert oracle[3] == pytest.approx(b * b * (c - a) / delta**2, rel=1e-15)
+
+    def test_zero_coupling_gives_zeros(self):
+        m = SpectralModel(energies=np.array([0.0, 1.0]), wmat=np.zeros((2, 2)))
+        oracle = rs_oracle(m, 4)
+        assert np.all(oracle.coeffs == 0.0)
+        assert oracle.self_check == 0.0
+
+    def test_requires_an_order(self):
+        with pytest.raises(ValueError, match="n_max"):
+            rs_oracle(two_level(), 0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 10), coupling=st.floats(0.01, 0.6))
+    def test_matches_evaluate_epsilons_to_order_10(self, seed, dim, coupling):
+        m = random_model(seed, dim=dim, coupling_scale=coupling)
+        eps = evaluate_epsilons(m, 10)
+        oracle = rs_oracle(m, 10)
+        for n in range(1, 11):
+            assert abs(eps[n - 1] - oracle[n]) <= 1e-9 * max(abs(oracle[n]), 1e-10)
+        assert oracle.self_check <= 1e-30
+
+    def test_matches_taylor_oracle_to_order_6(self):
+        for seed in range(3):
+            m = random_model(seed)
+            rs, fit = rs_oracle(m, 6), taylor_oracle(m, 6)
+            for n in range(1, 7):
+                assert abs(rs[n] - fit[n]) <= 1e-9 * max(abs(rs[n]), 1e-10)
 
 
 class TestEvaluateEpsilons:
