@@ -13,10 +13,13 @@ Energy comes from the two end beads by head-tail symmetry of the path
 distribution; general observables come from the middle bead, where both
 path halves act as projectors.
 
-The Langevin proposal, the equilibration walk and W come from
-walker.langevin_kernel, which decides between float closures (a 1-d
-GaussianTrial in a built-in potential, every system the command line
-builds) and numpy; both draw the same random stream and round alike.
+ReptationSampler.for_system decides how beads are stored.  Where
+walker.scalar_langevin applies (a 1-d GaussianTrial in a built-in
+potential, every system the command line builds) they are Python floats,
+moved by its float closures; every other system, and the proposal
+correction, keeps shape-(d,) numpy beads on walker.langevin_kernel.
+Both draw the same random stream and round alike, and one move loop runs
+both.  Observables always see a shape-(d,) array.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -37,6 +40,7 @@ from .walker import (
     langevin_kernel,
     local_energy,
     log_transition_density,
+    scalar_langevin,
 )
 
 
@@ -55,9 +59,9 @@ class Reptile:
 
     Each link action is derived from the W values of its two beads.
 
-    total_action is maintained incrementally by moves; recompute helpers
-    exist to audit the cache (it must track recomputation to 1e-9 over
-    a hundred thousand moves).
+    total_action is maintained incrementally by moves; it must track
+    math.fsum(link_actions) to 1e-9 over a hundred thousand moves, and
+    audit_links checks the cached W against the bead positions.
     """
 
     def __init__(self, beads: Iterable, w_values: Iterable[float], epsilon: float, direction: int = 1):
@@ -108,10 +112,6 @@ class Reptile:
         """(W(R_0) + W(R_n)) / 2, the two-end energy sample."""
         return 0.5 * (self.w_values[0] + self.w_values[-1])
 
-    def recomputed_action(self) -> float:
-        """Total action rebuilt from the cached per-bead W values."""
-        return math.fsum(self.link_actions)
-
     def audit_links(self, w_fn: Callable) -> float:
         """Max |link from cached W - link recomputed from positions via w_fn|."""
         ws = [float(w_fn(b)) for b in self.beads]
@@ -158,10 +158,12 @@ def init_reptile(
 class ReptationSampler:
     """Creep-move Metropolis kernel over a single reptile.
 
-    The kernel is defined by two callables, so the identical move logic
+    The kernel is defined by two callables, w_fn(bead) -> W as a float
+    and propose_fn(rng, bead) -> new bead, so the identical move loop
     drives both production runs (Langevin proposals off trial
     wavefunctions) and the discretized toy used by the exact stationary
-    distribution check.
+    distribution check.  Float beads from for_system take a float
+    step(x, z) with z = rng.standard_normal() in place of propose_fn.
     """
 
     def __init__(
@@ -184,6 +186,7 @@ class ReptationSampler:
         self.correction_trial = correction_trial
         self.moves_proposed = 0
         self.moves_accepted = 0
+        self._step = None  # step(x, z) of float beads; propose_fn(rng, bead) otherwise
 
     @classmethod
     def for_system(
@@ -196,8 +199,22 @@ class ReptationSampler:
         direction_policy: str = "bounce",
         proposal_correction: bool = False,
     ) -> "ReptationSampler":
-        w_fn, propose_fn = langevin_kernel(trial, potential, reptile.epsilon)
-        return cls(
+        """Langevin creep kernel for a trial and potential; takes over the reptile.
+
+        Where walker.scalar_langevin applies, the reptile's beads become
+        floats, stepped by its closures.  Other systems keep numpy beads,
+        and so does the proposal correction, whose trial.log_value needs
+        a trailing axis.
+        """
+        scalar = None if proposal_correction else scalar_langevin(trial, potential, reptile.epsilon)
+        if scalar is None:
+            w_fn, propose_fn = langevin_kernel(trial, potential, reptile.epsilon)
+            step = None
+        else:
+            w_fn, step = scalar
+            propose_fn = None
+            reptile.beads = deque(np.asarray(b, dtype=float).item() for b in reptile.beads)
+        sampler = cls(
             reptile,
             w_fn,
             propose_fn,
@@ -205,6 +222,8 @@ class ReptationSampler:
             direction_policy=direction_policy,
             correction_trial=trial if proposal_correction else None,
         )
+        sampler._step = step
+        return sampler
 
     @classmethod
     def from_functions(
@@ -253,47 +272,61 @@ class ReptationSampler:
             - log_transition_density(trial, eps, b, a)
         )
 
+    def _moves(self, n: int) -> int:
+        """n creep moves on locals; returns how many were accepted."""
+        r = self.reptile
+        beads, ws = r.beads, r.w_values
+        half_eps = 0.5 * r.epsilon
+        w_fn, propose, step = self.w_fn, self.propose_fn, self._step
+        rng = self.rng
+        normal, uniform, exp = rng.standard_normal, rng.random, math.exp
+        redraw = self.direction_policy == "random"
+        correct = self.correction_trial is not None
+        direction, action, accepted = r.direction, r.total_action, 0
+        for _ in range(n):
+            if redraw:
+                direction = 1 if uniform() < 0.5 else -1
+            grow_head = direction > 0
+            if grow_head:
+                end, w_end, w_a, w_b = beads[-1], ws[-1], ws[0], ws[1]
+            else:
+                end, w_end, w_a, w_b = beads[0], ws[0], ws[-2], ws[-1]
+            new = propose(rng, end) if step is None else step(end, normal())
+            w_new = w_fn(new)
+            # link_action(new link) - link_action(removed link), with link_action's rounding
+            delta = half_eps * (w_end + w_new) - half_eps * (w_a + w_b)
+            if correct:
+                log_accept = -delta + self._log_correction(new, grow_head)
+                accept = log_accept >= 0.0 or uniform() < exp(log_accept)
+            else:
+                accept = delta <= 0.0 or uniform() < exp(-delta)
+            if accept:
+                accepted += 1
+                if grow_head:
+                    beads.append(new)
+                    ws.append(w_new)
+                    beads.popleft()
+                    ws.popleft()
+                else:
+                    beads.appendleft(new)
+                    ws.appendleft(w_new)
+                    beads.pop()
+                    ws.pop()
+                action += delta
+            elif not redraw:
+                direction = -direction
+        r.direction, r.total_action = direction, action
+        self.moves_proposed += n
+        self.moves_accepted += accepted
+        return accepted
+
     def move(self) -> bool:
         """One creep move; returns True when accepted."""
-        r = self.reptile
-        if self.direction_policy == "random":
-            r.direction = 1 if self.rng.random() < 0.5 else -1
-        grow_head = r.direction > 0
-        end = r.beads[-1] if grow_head else r.beads[0]
-        w_end = r.w_values[-1] if grow_head else r.w_values[0]
-        new_bead = self.propose_fn(self.rng, end)
-        w_new = float(self.w_fn(new_bead))
-        l_new = link_action(r.epsilon, w_end, w_new)
-        w_a, w_b = (r.w_values[0], r.w_values[1]) if grow_head else (r.w_values[-2], r.w_values[-1])
-        l_removed = link_action(r.epsilon, w_a, w_b)
-        delta = l_new - l_removed
-        if self.correction_trial is not None:
-            log_accept = -delta + self._log_correction(new_bead, grow_head)
-            accept = log_accept >= 0.0 or self.rng.random() < math.exp(log_accept)
-        else:
-            accept = delta <= 0.0 or self.rng.random() < math.exp(-delta)
-        self.moves_proposed += 1
-        if accept:
-            self.moves_accepted += 1
-            if grow_head:
-                r.beads.append(new_bead)
-                r.w_values.append(w_new)
-                r.beads.popleft()
-                r.w_values.popleft()
-            else:
-                r.beads.appendleft(new_bead)
-                r.w_values.appendleft(w_new)
-                r.beads.pop()
-                r.w_values.pop()
-            r.total_action += l_new - l_removed
-        elif self.direction_policy == "bounce":
-            r.direction = -r.direction
-        return accept
+        return self._moves(1) == 1
 
     def sweep(self) -> None:
         """n_beads consecutive moves, roughly decorrelating the path."""
-        for _ in range(self.reptile.n_beads):
-            self.move()
+        self._moves(self.reptile.n_beads)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +441,7 @@ def run_reptation(
         series[s, 0] = r.w_values[0]
         series[s, 1] = r.w_values[-1]
         actions[s] = r.total_action
-        mid = r.middle
+        mid = np.atleast_1d(r.middle)
         for name, fn in observables.items():
             middles[name][s] = float(fn(mid))
 

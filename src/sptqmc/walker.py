@@ -12,17 +12,19 @@ potential callables accept batched positions of shape (..., d) and
 return values of shape (...,), so whole trajectories evaluate in one
 vectorized pass.
 
-The Langevin proposal is decided here: proposal_mean is its mean, and
-langevin_kernel hands per-step loops (the generic walk below, the
-reptation sampler) closures for W and one step, on float math from
-scalar_langevin where it applies and on numpy otherwise.
+The Langevin proposal is decided here: proposal_mean is its mean.
+scalar_langevin gives W and one step as float closures for a 1-d
+Gaussian trial in a built-in potential; the reptation sampler moves its
+beads as Python floats on them.  langevin_kernel hands per-step loops
+over position arrays (the generic walk below, init_reptile's walk, the
+creep kernel of every other system) closures for W and one step, on
+scalar_langevin's float math where it applies and on numpy otherwise.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -154,73 +156,22 @@ def local_energy(trial, potential, positions: np.ndarray) -> np.ndarray:
     return (potential(positions) - 0.5 * grad2) - 0.5 * trial.laplacian_log(positions)
 
 
-def auxiliary_potential(trial, positions: np.ndarray) -> np.ndarray:
-    """Veff = 1/2 (lap log Phi0 + |grad log Phi0|^2); (-1/2 lap + Veff) Phi0 = 0."""
-    grad = trial.gradient_log(positions)
-    return 0.5 * (trial.laplacian_log(positions) + np.sum(grad * grad, axis=-1))
-
-
 # ---------------------------------------------------------------------------
 # walker propagation
-
-
-@dataclass
-class WalkerState:
-    """Single-owner mutable walker; caches always match the stored position."""
-
-    trial: object
-    potential: object
-    position: np.ndarray
-    drift: np.ndarray
-    local_energy: float
-    epsilon: float
-    rng: np.random.Generator | None = None
-
-
-def init_walker(trial, potential, position, epsilon: float, rng: np.random.Generator | None = None) -> WalkerState:
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    position = np.atleast_1d(np.asarray(position, dtype=float))
-    return WalkerState(
-        trial=trial,
-        potential=potential,
-        position=position,
-        drift=drift(trial, position),
-        local_energy=float(local_energy(trial, potential, position)),
-        epsilon=float(epsilon),
-        rng=rng,
-    )
-
-
-def langevin_step(state: WalkerState, rng: np.random.Generator | None = None, noise: np.ndarray | None = None) -> WalkerState:
-    """One Euler step R' = R + (eps/2) F(R) + eta, eta ~ N(0, eps I).
-
-    Mutates the state in place (caches refreshed) and returns it.  The
-    noise argument is a test hook that bypasses the rng.
-    """
-    generator = rng if rng is not None else state.rng
-    if noise is None:
-        if generator is None:
-            raise ValueError("langevin_step needs an rng or an explicit noise vector")
-        noise = generator.normal(0.0, math.sqrt(state.epsilon), size=state.position.shape)
-    new_position = state.position + (0.5 * state.epsilon) * state.drift + noise
-    state.position = new_position
-    state.drift = drift(state.trial, new_position)
-    state.local_energy = float(local_energy(state.trial, state.potential, new_position))
-    return state
 
 
 def scalar_langevin(trial, potential, epsilon: float):
     """Float closures (w, step) for a 1-d Gaussian trial in a built-in potential.
 
-    w(x) is the local energy at x and step(x, z) one Langevin step driven
-    by a standard normal z.  Each performs the floating-point operations
-    of local_energy and langevin_step on a shape-(1,) position in the same
-    order, so the results are bitwise equal, and drawing z with
+    w(x) is the local energy at a float position x, and step(x, z) the
+    position after one Langevin step driven by a standard normal z.  Each
+    performs the floating-point operations of local_energy and of the
+    numpy step x + (eps/2) F(x) + N(0, eps) on a shape-(1,) array in the
+    same order, so the results are bitwise equal, and drawing z with
     rng.standard_normal() consumes the stream exactly as
-    rng.normal(0.0, sqrt(eps), size=(1,)) does.  They skip the numpy
-    overhead of one-element arrays in per-step loops.  Returns None for
-    any other trial or potential, which keep the numpy code.
+    rng.normal(0.0, sqrt(eps), size=(1,)) does.  The reptation sampler
+    keeps float beads on them, free of one-element arrays.  Returns None
+    for any other trial or potential, which keep the numpy code.
     """
     if type(trial) is not GaussianTrial or trial.dim != 1:
         return None

@@ -1,6 +1,8 @@
 """Reptation sampler: move kernel, estimators, and the small-instance oracle."""
 
+import hashlib
 import itertools
+import json
 import math
 import warnings
 
@@ -30,7 +32,8 @@ from sptqmc.rqmc import (
     init_reptile,
     link_action,
 )
-from sptqmc.walker import derive_rng, drift, init_walker, langevin_step, local_energy
+from sptqmc.walker import derive_rng, drift, local_energy
+from walker_reference import init_walker, langevin_step
 
 ALPHA = 1.2
 
@@ -105,7 +108,7 @@ class TestReptile:
         r = Reptile([0.0, 1.0, 2.0], [0.3, -0.1, 0.4], 0.7)
         expected = link_action(0.7, 0.3, -0.1) + link_action(0.7, -0.1, 0.4)
         assert r.total_action == pytest.approx(expected, rel=1e-15)
-        assert r.recomputed_action() == pytest.approx(r.total_action, rel=1e-15)
+        assert math.fsum(r.link_actions) == pytest.approx(r.total_action, rel=1e-15)
 
     def test_audit_links_zero_for_consistent_table(self):
         table = {0.0: 0.3, 1.0: -0.1, 2.0: 0.4}
@@ -134,7 +137,7 @@ class TestInitReptile:
         rng = derive_rng(3, "init")
         trial, pot = GaussianTrial(ALPHA), QuarticPotential(0.3)
         r = init_reptile(trial, pot, 30, 0.05, rng, equilibration_steps=100)
-        assert abs(r.total_action - r.recomputed_action()) < 1e-12
+        assert abs(r.total_action - math.fsum(r.link_actions)) < 1e-12
         assert r.audit_links(lambda b: float(local_energy(trial, pot, b))) < 1e-12
 
     def test_validation(self):
@@ -316,8 +319,8 @@ class TestIncrementalAction:
         sampler = ReptationSampler.for_system(trial, pot, r, rng)
         for _ in range(100_000):
             sampler.move()
-        assert abs(r.total_action - r.recomputed_action()) < 1e-9
-        assert r.audit_links(lambda b: float(local_energy(trial, pot, b))) < 1e-12
+        assert abs(r.total_action - math.fsum(r.link_actions)) < 1e-9
+        assert r.audit_links(lambda b: float(local_energy(trial, pot, np.atleast_1d(b)))) < 1e-12
 
 
 class TestEnergyEstimator:
@@ -580,8 +583,8 @@ class TestScalarKernel:
         for _ in range(3000):
             assert fast.move() == ref.move()
         a, b = fast.reptile, ref.reptile
-        assert np.array_equal(np.array(a.beads), np.array(b.beads))
-        assert all(bead.shape == (1,) for bead in a.beads)
+        assert np.array_equal(np.array(a.beads).reshape(-1, 1), np.array(b.beads))
+        assert all(type(bead) is float for bead in a.beads)
         assert list(a.w_values) == list(b.w_values)
         assert list(a.link_actions) == list(b.link_actions)
         assert a.total_action == b.total_action
@@ -614,3 +617,104 @@ class TestScalarKernel:
         r = init_reptile(trial, pot, 20_000, 0.05, rng, equilibration_steps=100)
         sampler = ReptationSampler.for_system(trial, pot, r, rng)
         assert r.audit_links(sampler.w_fn) == 0.0
+
+
+def run_digest(trial, pot, **kwargs):
+    """sha256 of a run's series, actions, acceptance, pure x2 and final rng state.
+
+    Arrays enter as json.dumps(array.tolist()), so the digest does not
+    depend on byte order; floats print as their shortest round-trip repr.
+    """
+    rng = derive_rng(31, "golden")
+    res = run_reptation(trial, pot, rng=rng, n_beads=41, epsilon=0.05, sweeps=200, burn_in_sweeps=20, **kwargs)
+    x2 = res.pure_observables["x2"]
+    record = {
+        "series": res.series.tolist(),
+        "actions": res.actions.tolist(),
+        "acceptance_rate": res.acceptance_rate,
+        "x2": [x2.mean, x2.std_error, x2.autocorr_time, x2.effective_samples],
+        "rng": rng.bit_generator.state,
+    }
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode("ascii")).hexdigest()
+
+
+# Recorded on the array-bead kernel that the float-bead loop replaced.
+GOLDEN_DIGESTS = {
+    "harmonic-bounce": "472f0ab0ba1f49b7df91c78aabe29b5916b27df7e419dcbb4ddd5b0a54a10de8",
+    "harmonic-random": "4d34e7cb33454a0a85e59dd5f575ac0ca21e920b3b9ee75b41e92a95306fb476",
+    "quartic-bounce": "96be22a5ac8aa0cba86929b921a486a351fd3544ee2aee30cd2fcfe5444ef857",
+    "quartic-random": "6ab4926ebd4bedcc747ded38a27fa4eea7a450b5cdf1063c5497de9623678261",
+    "doublewell-bounce": "0569c86369ee26983a92d10204afc9b0945293fd78b65197c7ecfc35e5b3e339",
+    "doublewell-random": "bc930e7b573fc1203dd6d6d38211f7bf775dfee468d7d01da944e050dad6de5f",
+    "quartic-bounce-corrected": "b47f71fa67b6d3c430501010e619a537fa695e6994fec308e841e880daad83ce",
+}
+
+
+class TestGoldenDigest:
+    """run_reptation's outputs and rng stream, pinned to the last bit."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
+    def test_run_matches_digest(self, case):
+        name, policy, *extra = case.split("-")
+        trial, pot = KERNEL_SYSTEMS[name]
+        kwargs = dict(direction_policy=policy, proposal_correction=extra == ["corrected"])
+        assert run_digest(trial, pot, **kwargs) == GOLDEN_DIGESTS[case]
+
+
+def sampler_state(sampler):
+    r = sampler.reptile
+    beads = [np.atleast_1d(b).tolist() for b in r.beads]
+    return (beads, list(r.w_values), r.total_action, r.direction,
+            sampler.moves_proposed, sampler.moves_accepted, sampler.rng.bit_generator.state)
+
+
+class TestMoveLoop:
+    """move() and sweep() run one loop; the bead representation stays inside the sampler."""
+
+    @pytest.mark.parametrize("kind", ["float", "numpy", "corrected"])
+    @pytest.mark.parametrize("policy", ["bounce", "random"])
+    def test_n_moves_equal_one_sweep(self, kind, policy):
+        trial, pot = KERNEL_SYSTEMS["quartic"]
+        if kind == "numpy":
+            trial = walker.CallableTrial(trial.log_value, trial.gradient_log, trial.laplacian_log, dim=1)
+        samplers = []
+        for _ in range(2):
+            rng = derive_rng(41, policy)
+            r = init_reptile(trial, pot, 25, 0.1, rng, equilibration_steps=100)
+            samplers.append(ReptationSampler.for_system(
+                trial, pot, r, rng, direction_policy=policy, proposal_correction=kind == "corrected",
+            ))
+        by_move, by_sweep = samplers
+        for _ in range(40):
+            for _ in range(by_move.reptile.n_beads):
+                by_move.move()
+            by_sweep.sweep()
+            assert sampler_state(by_move) == sampler_state(by_sweep)
+        assert 0 < by_sweep.moves_accepted < by_sweep.moves_proposed
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SYSTEMS))
+    def test_scalar_systems_move_float_beads(self, name):
+        trial, pot = KERNEL_SYSTEMS[name]
+        rng = derive_rng(42, name)
+        sampler = ReptationSampler.for_system(trial, pot, init_reptile(trial, pot, 20, 0.05, rng, 50), rng)
+        sampler.sweep()
+        assert all(type(bead) is float for bead in sampler.reptile.beads)
+        assert sampler.reptile.audit_links(lambda b: float(local_energy(trial, pot, np.atleast_1d(b)))) == 0.0
+
+    def test_correction_and_other_systems_keep_arrays(self):
+        trial, pot = KERNEL_SYSTEMS["quartic"]
+        systems = [(trial, pot, True), (GaussianTrial(1.2, dim=2), pot, False)]
+        for trial, pot, corrected in systems:
+            rng = derive_rng(43, "arrays")
+            r = init_reptile(trial, pot, 20, 0.05, rng, 50)
+            ReptationSampler.for_system(trial, pot, r, rng, proposal_correction=corrected).sweep()
+            assert all(bead.shape == (trial.dim,) for bead in r.beads)
+
+    def test_observables_get_arrays(self):
+        # b[0] fails on a float bead
+        run = run_reptation(
+            GaussianTrial(ALPHA), HarmonicPotential(),
+            n_beads=41, epsilon=0.05, sweeps=100, seed=7, burn_in_sweeps=10,
+            observables={"x2": lambda bead: float(np.sum(np.square(bead))), "first2": lambda b: b[0] ** 2},
+        )
+        assert run.pure_observables["first2"].mean == pytest.approx(run.pure_observables["x2"].mean, rel=1e-12)

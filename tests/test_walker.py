@@ -18,19 +18,16 @@ from sptqmc.walker import (
     GaussianTrial,
     HarmonicPotential,
     QuarticPotential,
-    WalkerState,
-    auxiliary_potential,
     derive_rng,
     drift,
-    init_walker,
     langevin_kernel,
-    langevin_step,
     local_energy,
     log_transition_density,
     proposal_mean,
     sample_local_energy_series,
     scalar_langevin,
 )
+from walker_reference import auxiliary_potential, init_walker, langevin_step
 
 
 def wrap_generic(trial: GaussianTrial) -> CallableTrial:
