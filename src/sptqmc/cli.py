@@ -1,8 +1,8 @@
 """Command-line entry point: `spt <subcommand>`.
 
 Subcommands: symbolic, spectral, vmc, spt-orders, rqmc.  Runs are
-configured through flat `key = value` files (optional [section] headers
-are organizational only), every random number flows from one master
+configured through `key = value` files (the grammar of `sptqmc.keyvalue`),
+every random number flows from one master
 seed, and each run can write a canonical JSON report.  Reports are
 byte-identical for identical config + seed, for any `workers` and any
 core count: each worker's chain draws from its own stream, wall time
@@ -12,7 +12,6 @@ goes to stderr, never into the file, and JSON keys are sorted.
 from __future__ import annotations
 
 import argparse
-import ast
 import difflib
 import json
 import math
@@ -28,7 +27,7 @@ from importlib import metadata
 
 import numpy as np
 
-from . import _STARTED, estimators, rqmc, rspt, spectral, symexpr, walker
+from . import _STARTED, estimators, keyvalue, rqmc, rspt, spectral, symexpr, walker
 from .parallel import fork_imap, fork_map
 
 SCHEMA_VERSION = 1
@@ -147,45 +146,6 @@ _SIGNATURE_KEYS = {
 }
 
 
-def _parse_value(raw: str, key: str, lineno: int):
-    text = raw.strip()
-    lowered = text.lower()
-    if lowered == "true":
-        return True
-    if lowered == "false":
-        return False
-    try:
-        return ast.literal_eval(text)
-    except (ValueError, SyntaxError):
-        pass
-    # bare word: treat as string (paths, names)
-    if text and "=" not in text:
-        return text
-    raise ConfigError(f"line {lineno}: cannot parse value for '{key}': {raw!r}")
-
-
-def _raw_entries(text: str) -> dict[str, tuple[object, int]]:
-    entries: dict[str, tuple[object, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            continue  # section headers organize, all keys share one namespace
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
-        if key in entries:
-            raise ConfigError(
-                f"line {lineno}: duplicate key '{key}' (first set on line {entries[key][1]})"
-            )
-        entries[key] = (_parse_value(value, key, lineno), lineno)
-    return entries
-
-
 def _infer_subcommand(keys: set) -> str:
     for name in _INFERENCE_ORDER:
         if keys & _SIGNATURE_KEYS[name]:
@@ -213,7 +173,7 @@ def validate_parameters(subcommand: str, given: dict) -> dict:
         if key in _COMMON_KEYS:
             continue
         expected = schema[key][0]
-        params[key] = _coerce_type(key, value, expected)
+        params[key] = keyvalue.typed(key, value, expected, ConfigError)
     for key, (_, default) in schema.items():
         params.setdefault(key, default)
     required = _REQUIRED.get(subcommand, ())
@@ -236,7 +196,7 @@ def validate_parameters(subcommand: str, given: dict) -> dict:
     return params
 
 
-_POSITIVE = ("epsilon", "steps", "order", "sweeps", "equilibration_steps", "tau_points")
+_POSITIVE = ("epsilon", "steps", "order", "sweeps", "equilibration_steps", "tau_points", "max_order")
 _NONNEGATIVE = ("burn_in", "quartic_coupling")
 
 
@@ -255,30 +215,8 @@ def _check_ranges(subcommand: str, params: dict) -> None:
     alpha = params.get("alpha")
     if alpha is not None and alpha <= 0:
         raise ConfigError(f"alpha must be positive, got {alpha!r}")
-
-
-def _coerce_type(key: str, value, expected):
-    if expected is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"key '{key}' must be a number, got {value!r}")
-        return float(value)
-    if expected is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"key '{key}' must be an integer, got {value!r}")
-        return value
-    if expected is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"key '{key}' must be true or false, got {value!r}")
-        return value
-    if expected is list:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"key '{key}' must be a bracketed list, got {value!r}")
-        return list(value)
-    if expected is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"key '{key}' must be a string, got {value!r}")
-        return value
-    raise AssertionError(f"unhandled schema type {expected}")
+    if params.get("max_order", 0) > estimators.DEFAULT_MAX_STOCHASTIC_ORDER and not params["allow_high_orders"]:
+        raise ConfigError(f"max_order {params['max_order']}: {estimators.HIGH_ORDER_WARNING}")
 
 
 def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
@@ -287,8 +225,7 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
     The subcommand is taken from the argument, else from a `subcommand`
     key, else inferred from which signature keys appear.
     """
-    given = {key: value for key, (value, _) in _raw_entries(text).items()}
-    return _config_from(given, subcommand)
+    return _config_from(keyvalue.read_entries(text, ConfigError), subcommand)
 
 
 def _config_from(given: dict, subcommand: str | None) -> RunConfig:
@@ -296,9 +233,7 @@ def _config_from(given: dict, subcommand: str | None) -> RunConfig:
     sub = subcommand or given.get("subcommand") or _infer_subcommand(set(given))
     if sub not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand '{sub}'{_suggest(str(sub), SUBCOMMANDS)}")
-    seed = given.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    seed = keyvalue.typed("seed", given.get("seed", 0), int, ConfigError)
     output = given.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError(f"output must be a path string, got {output!r}")
@@ -473,10 +408,7 @@ def _bad_row_message(path: str, header_lines: int) -> str:
 
 
 def _build_trial_potential(params: dict):
-    alpha = params["alpha"]
-    if alpha is None:
-        raise ConfigError("alpha is required to run a walker")
-    trial = walker.GaussianTrial(alpha=alpha)
+    trial = walker.GaussianTrial(alpha=params["alpha"])
     name = params["potential"]
     if name == "harmonic":
         potential = walker.HarmonicPotential()
@@ -593,41 +525,46 @@ def _run_vmc(config: RunConfig) -> tuple[dict, list[str]]:
 
 def _spt_orders_chain(params: dict, series: estimators.LocalEnergySeries):
     integral = estimators.autocorrelation_integral(series)
-    tau_w = integral.autocorr_time
     if params.get("tau_grid"):
-        grid = [float(t) for t in params["tau_grid"]]
+        grid, source = params["tau_grid"], "tau_grid"
     else:
-        if tau_w <= 0:
+        if integral.autocorr_time <= 0:
             raise estimators.WindowSelectionError(
                 "series shows no autocorrelation; supply tau_grid explicitly"
             )
         grid = np.linspace(
-            params["tau_min_factor"] * tau_w,
-            params["tau_max_factor"] * tau_w,
+            params["tau_min_factor"] * integral.autocorr_time,
+            params["tau_max_factor"] * integral.autocorr_time,
             params["tau_points"],
         )
-    moments = estimators.action_moments(series, grid, params["max_order"])
-    orders, diag = estimators.stochastic_epsilons(
-        moments,
-        params["max_order"],
-        allow_high_orders=params["allow_high_orders"],
-        return_diagnostics=True,
-    )
-    return integral, tau_w, moments, orders, diag
+        source = "tau_min_factor, tau_max_factor and tau_points"
+    try:
+        moments = estimators.action_moments(series, grid, params["max_order"])
+        orders, diag = estimators.stochastic_epsilons(
+            moments,
+            params["max_order"],
+            allow_high_orders=params["allow_high_orders"],
+            return_diagnostics=True,
+        )
+    except estimators.SeriesTooShortError:
+        raise
+    except (ValueError, OverflowError) as exc:  # max_order is checked at parse time, so the grid is at fault
+        raise ConfigError(f"tau grid from {source}: {exc}") from None
+    return integral, orders, diag
 
 
 def _run_spt_orders(config: RunConfig) -> tuple[dict, list[str]]:
     params = config.parameters
     per_worker = _run_chains(params, config.seed, lambda series: _spt_orders_chain(params, series))
     merged_integral = estimators.merge_estimates([row[0] for row in per_worker])
-    merged_orders = [estimators.merge_estimates([row[3][n] for row in per_worker]) for n in range(params["max_order"])]
-    first_diag = per_worker[0][4]
+    merged_orders = [estimators.merge_estimates([row[1][n] for row in per_worker]) for n in range(params["max_order"])]
+    first_diag = per_worker[0][2]
     results = {
         "epsilon_n": {
             str(n + 1): {"mean": est.mean, "err": est.std_error}
             for n, est in enumerate(merged_orders)
         },
-        "tau_w": float(np.mean([row[1] for row in per_worker])),
+        "tau_w": float(np.mean([row[0].autocorr_time for row in per_worker])),
         "autocorrelation_epsilon_2": _estimate_dict(merged_integral),
         "diagnostics": {
             "tau_grid": first_diag["tau_grid"],
@@ -760,14 +697,8 @@ def _resolve_seed(flag_seed: int | None, config_seed: int) -> int:
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """RunConfig from CLI flags plus optional config file (flags win)."""
-    text = ""
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            try:
-                text = handle.read()
-            except UnicodeDecodeError:
-                raise ConfigError(f"config file {args.config} is not UTF-8 text") from None
-    given = {key: value for key, (value, _) in _raw_entries(text).items()}
+    text = keyvalue.read_text(args.config, "config", ConfigError) if args.config else ""
+    given = keyvalue.read_entries(text, ConfigError)
     for key in ("order", "sum_over_states", "model", "oracle"):
         value = getattr(args, key, None)
         if value is not None:

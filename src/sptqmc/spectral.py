@@ -15,7 +15,6 @@ by epsilon_2 = -g_2 <= 0.  The oracles pin this convention down.
 
 from __future__ import annotations
 
-import ast
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -23,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from mpmath import mp
 
-from . import rspt
+from . import keyvalue, rspt
 from .symexpr import GVar, evaluate
 
 SYMMETRY_TOL = 1e-12
@@ -32,7 +31,7 @@ ORACLE_TOL = 1e-6
 
 
 class ModelValidationError(ValueError):
-    """The energies/wmat pair does not describe a valid model."""
+    """The energies/wmat pair, or the builder's parameters, do not describe a valid model."""
 
 
 class FitConditioningError(RuntimeError):
@@ -368,7 +367,7 @@ def build_anharmonic_model(basis_size: int, quartic_coupling: float) -> Spectral
     the orders of interest.
     """
     if basis_size < 20:
-        raise ValueError(f"basis_size must be >= 20, got {basis_size}")
+        raise ModelValidationError(f"basis_size must be >= 20, got {basis_size}")
     d = basis_size
     x = np.zeros((d, d))
     for i in range(d - 1):
@@ -415,8 +414,11 @@ def random_model(
 # model files
 
 
+_MODEL_KEYS = {"builder": str, "basis_size": int, "quartic_coupling": float, "energies": np.ndarray, "wmat": np.ndarray}
+
+
 def parse_model_text(text: str) -> SpectralModel:
-    """Parse the structured-text model format.
+    """Parse a model file, written in the `key = value` grammar of `sptqmc.keyvalue`.
 
     Either explicit arrays:
 
@@ -430,72 +432,28 @@ def parse_model_text(text: str) -> SpectralModel:
         builder = anharmonic
         basis_size = 40
         quartic_coupling = 0.1
-
-    Values may span lines while brackets are open.  Lines starting with
-    '#' are comments.
     """
-    entries: dict[str, object] = {}
-    pending_key: str | None = None
-    pending_value = ""
-    depth = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if depth == 0:
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ModelValidationError(f"line {lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            pending_key = key.strip()
-            pending_value = value.strip()
-        else:
-            pending_value += " " + line
-        depth = pending_value.count("[") - pending_value.count("]")
-        if depth < 0:
-            raise ModelValidationError(f"line {lineno}: unbalanced brackets")
-        if depth == 0 and pending_key is not None:
-            if pending_key in entries:
-                raise ModelValidationError(f"line {lineno}: duplicate key '{pending_key}'")
-            entries[pending_key] = _parse_model_value(pending_key, pending_value, lineno)
-            pending_key = None
-    if depth != 0:
-        raise ModelValidationError("unterminated bracket at end of file")
-
+    entries = keyvalue.read_entries(text, ModelValidationError)
     keys = set(entries)
+    values = {key: keyvalue.typed(key, entries[key], kind, ModelValidationError)
+              for key, kind in _MODEL_KEYS.items() if key in keys}
     if "builder" in keys:
-        if entries["builder"] != "anharmonic":
-            raise ModelValidationError(f"unknown builder '{entries['builder']}'")
+        if values["builder"] != "anharmonic":
+            raise ModelValidationError(f"unknown builder '{values['builder']}'")
         extra = keys - {"builder", "basis_size", "quartic_coupling"}
         if extra:
             raise ModelValidationError(f"unexpected keys for builder model: {sorted(extra)}")
         missing = {"basis_size", "quartic_coupling"} - keys
         if missing:
             raise ModelValidationError(f"builder model missing keys: {sorted(missing)}")
-        return build_anharmonic_model(int(entries["basis_size"]), float(entries["quartic_coupling"]))
+        return build_anharmonic_model(values["basis_size"], values["quartic_coupling"])
     if keys == {"energies", "wmat"}:
-        return SpectralModel(
-            energies=np.array(entries["energies"], dtype=float),
-            wmat=np.array(entries["wmat"], dtype=float),
-        )
+        return SpectralModel(energies=values["energies"], wmat=values["wmat"])
     raise ModelValidationError(
         f"model file must define energies+wmat or a builder; got keys {sorted(keys)}"
     )
 
 
-def _parse_model_value(key: str, text: str, lineno: int):
-    if key == "builder":
-        return text
-    try:
-        return ast.literal_eval(text)
-    except (ValueError, SyntaxError) as exc:
-        raise ModelValidationError(f"line {lineno}: cannot parse value for '{key}': {exc}") from None
-
-
 def load_model(path: str) -> SpectralModel:
     """Read a model file from disk (see parse_model_text)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError:
-            raise ModelValidationError(f"model file {path} is not UTF-8 text") from None
-    return parse_model_text(text)
+    return parse_model_text(keyvalue.read_text(path, "model", ModelValidationError))

@@ -113,6 +113,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("order = 3\nnot a key value pair")
 
+    def test_inline_comments_and_bracketed_values_across_lines(self):
+        config = parse_config(
+            "trial = gaussian   # the built-in trial\nalpha = 1.2  # note\nepsilon = 0.01\nsteps = 50000\n"
+            "allow_high_orders = FALSE  # the default\nseries_out = run#1.csv\n"
+            "tau_grid = [1.0,  # first\n            2.0]\n"
+        )
+        assert config.parameters["trial"] == "gaussian"
+        assert config.parameters["alpha"] == 1.2
+        assert config.parameters["allow_high_orders"] is False
+        assert config.parameters["series_out"] == "run#1.csv"
+        assert config.parameters["tau_grid"] == [1.0, 2.0]
+        with pytest.raises(ConfigError, match="line 2: the '\\[' opened in the value of 'tau_grid' is never closed"):
+            parse_config("alpha = 1.2\ntau_grid = [1.0,\n2.0\n")
+
+    def test_infinite_number_rejected(self):
+        with pytest.raises(ConfigError, match="'alpha' must be a number, got inf"):
+            parse_config("alpha = 1e999\nepsilon = 0.01\nsteps = 1000")
+
+    def test_max_order_checked_at_parse_time(self):
+        with pytest.raises(ConfigError, match="'max_order' must be positive"):
+            parse_config(VMC_CONFIG + "max_order = 0")
+        with pytest.raises(ConfigError, match="allow_high_orders"):
+            parse_config(VMC_CONFIG + "max_order = 4")
+        assert parse_config(VMC_CONFIG + "max_order = 4\nallow_high_orders = true").parameters["max_order"] == 4
+
     def test_value_type_errors(self):
         with pytest.raises(ConfigError, match="'steps' must be an integer"):
             parse_config("alpha = 1.2\nepsilon = 0.01\nsteps = 2.5")
@@ -456,6 +481,34 @@ class TestSpectralCommand:
         assert main(["spectral", "--model", "/no/such/model.cfg", "--order", "2"]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("builder = anharmonic\nbasis_size = 10\nquartic_coupling = 0.1", "basis_size"),
+            ('builder = anharmonic\nbasis_size = 30\nquartic_coupling = "x"', "quartic_coupling"),
+            ("energies = [0.0, 1.0]\nwmat = [[0.1, 0.2], [0.2]]", "wmat"),
+            ("builder = anharmonic\nbasis_size = 30.7\nquartic_coupling = 0.1", "basis_size"),
+            ("builder = anharmonic\nbasis_size = 30\nquartic_coupling = 1e999", "quartic_coupling"),
+            ("energies = [0.0, None]\nwmat = [[0.0, 0.1], [0.1, 0.0]]", "energies"),
+            ("builder = anharmonic  # note\nbasis_size = 30\nquartic_coupling = 0.1", None),
+        ],
+        ids=[
+            "basis-too-small", "coupling-not-a-number", "ragged-wmat", "basis-not-an-integer",
+            "coupling-infinite", "energies-not-finite", "inline-comment",
+        ],
+    )
+    def test_malformed_model_file_exits_2(self, text, key, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text(text + "\n")
+        code = main(["spectral", "--model", str(model), "--order", "2"])
+        err = capsys.readouterr().err
+        if key is None:
+            assert code == 0
+        else:
+            assert code == EXIT_CONFIG
+            assert err.startswith("config error: ")
+            assert key in err
+
 
 class TestVmcCommand:
     def test_small_run_report(self, tmp_path, capsys):
@@ -654,6 +707,26 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert str(path) in err
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ('tau_grid = [1.0, "a"]', "tau_grid"),
+            ("tau_grid = [0.4, 0.3, 0.2, 0.1]", "tau_grid"),
+            ("tau_grid = [0.0001, 0.2, 0.3, 0.4]", "tau_grid"),
+            ("tau_grid = [0.1, 0.2]", "tau_grid"),
+            ("tau_points = 2", "tau_points"),
+            ("tau_min_factor = 50.0", "tau_min_factor"),
+        ],
+        ids=["not-a-number", "decreasing", "below-one-step", "two-points", "two-points-from-factors", "min-above-max"],
+    )
+    def test_tau_grid_mistakes_are_config_errors(self, line, key, tmp_path, capsys):
+        cfg = tmp_path / "orders.cfg"
+        cfg.write_text(f"alpha = 1.2\nepsilon = 0.01\nsteps = 20000\n{line}\n")
+        assert main(["spt-orders", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert key in err
 
     def test_non_string_output_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "symbolic.cfg"

@@ -28,6 +28,16 @@ def readme_python_blocks() -> list[str]:
     return sources
 
 
+def test_readme_ini_blocks_parse():
+    """Each ```ini block of README parses with the reader README names last before it."""
+    text = README.read_text(encoding="utf-8")
+    blocks = list(re.finditer(r"^```ini\n(.*?)^```", text, re.S | re.M))
+    readers = [re.findall(r"`sptqmc\.(\w+)\.(\w+)`", text[: block.start()])[-1] for block in blocks]
+    assert readers == [("cli", "parse_config"), ("spectral", "parse_model_text"), ("spectral", "parse_model_text")]
+    for (module, name), block in zip(readers, blocks):
+        getattr(importlib.import_module(f"sptqmc.{module}"), name)(block.group(1))
+
+
 def test_readme_doctest():
     result = doctest.testfile(str(README), module_relative=False)
     assert result.attempted > 0
