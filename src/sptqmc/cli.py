@@ -20,7 +20,7 @@ import sys
 import tempfile
 import time
 import warnings
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Collection, Iterable, Iterator
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from importlib import metadata
@@ -31,7 +31,6 @@ from . import _STARTED, estimators, keyvalue, rqmc, rspt, spectral, symexpr, wal
 from .parallel import fork_imap, fork_map
 
 SCHEMA_VERSION = 1
-SUBCOMMANDS = ("symbolic", "spectral", "vmc", "spt-orders", "rqmc")
 
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
@@ -69,74 +68,93 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# config schema
+# config schema: one row per key
+
+_NEEDED = object()  # the default of a key that the config must set
+
+
+@dataclass(frozen=True)
+class _Key:
+    """A config key: its type, its default, and the test a value must pass.
+
+    `ok` is a predicate, or the collection of allowed values; a value that
+    fails it raises `message`, formatted with the key, the value and, for a
+    collection, `hint`, its nearest member.  A `stand_in` key that is set
+    (a saved series) supplies every _NEEDED key of its subcommand.
+    """
+
+    kind: type
+    default: object = None
+    ok: Callable | Collection | None = None
+    message: str = ""
+    stand_in: bool = False
+
+
+_ABOVE_ZERO = (lambda value: value > 0, "key '{key}' must be positive, got {value!r}")
+_NOT_BELOW_ZERO = (lambda value: value >= 0, "key '{key}' must be >= 0, got {value!r}")
+
+# potential name -> its constructor from the parameters; the first is the default
+_POTENTIALS = {
+    "harmonic": lambda params: walker.HarmonicPotential(),
+    "quartic": lambda params: walker.QuarticPotential(params["quartic_coupling"]),
+    "doublewell": lambda params: walker.DoubleWellPotential(params["barrier"], params["half_separation"]),
+}
 
 _WALKER_KEYS = {
-    "trial": (str, "gaussian"),
-    "alpha": (float, None),
-    "potential": (str, "harmonic"),
-    "quartic_coupling": (float, 0.0),
-    "barrier": (float, 1.0),
-    "half_separation": (float, 1.0),
-    "epsilon": (float, None),
+    "trial": _Key(str, "gaussian", ("gaussian",), "unknown trial '{value}'; only 'gaussian' is built in"),
+    "alpha": _Key(float, _NEEDED, _ABOVE_ZERO[0], "alpha must be positive, got {value!r}"),
+    "potential": _Key(str, next(iter(_POTENTIALS)), _POTENTIALS, "unknown potential '{value}'{hint}"),
+    "quartic_coupling": _Key(float, 0.0, *_NOT_BELOW_ZERO),
+    "barrier": _Key(float, 1.0),
+    "half_separation": _Key(float, 1.0),
+    "epsilon": _Key(float, _NEEDED, *_ABOVE_ZERO),
+}
+
+_CHAIN_KEYS = {
+    "series_out": _Key(str),
+    "workers": _Key(int, 1, *_ABOVE_ZERO),
 }
 
 _SERIES_KEYS = {
     **_WALKER_KEYS,
-    "steps": (int, None),
-    "burn_in": (int, 0),
-    "series": (str, None),
-    "series_out": (str, None),
-    "workers": (int, 1),
+    "steps": _Key(int, _NEEDED, *_ABOVE_ZERO),
+    "burn_in": _Key(int, 0, *_NOT_BELOW_ZERO),
+    "series": _Key(str, stand_in=True),
+    **_CHAIN_KEYS,
 }
 
-# key -> (type, default); None default means no default (see required sets)
-_SCHEMAS: dict[str, dict] = {
-    "symbolic": {
-        "order": (int, None),
-        "sum_over_states": (bool, False),
-    },
-    "spectral": {
-        "model": (str, None),
-        "order": (int, None),
-        "oracle": (bool, False),
-    },
-    "vmc": dict(_SERIES_KEYS),
+_ORDER = {"order": _Key(int, _NEEDED, *_ABOVE_ZERO)}
+
+_SCHEMAS: dict[str, dict[str, _Key]] = {
+    "symbolic": {**_ORDER, "sum_over_states": _Key(bool, False)},
+    "spectral": {"model": _Key(str, _NEEDED), **_ORDER, "oracle": _Key(bool, False)},
+    "vmc": _SERIES_KEYS,
     "spt-orders": {
         **_SERIES_KEYS,
-        "max_order": (int, 3),
-        "allow_high_orders": (bool, False),
-        "tau_grid": (list, None),
-        "tau_min_factor": (float, 10.0),
-        "tau_max_factor": (float, 40.0),
-        "tau_points": (int, 8),
+        "max_order": _Key(int, 3, *_ABOVE_ZERO),
+        "allow_high_orders": _Key(bool, False),
+        "tau_grid": _Key(list),
+        "tau_min_factor": _Key(float, 10.0),
+        "tau_max_factor": _Key(float, 40.0),
+        "tau_points": _Key(int, 8, *_ABOVE_ZERO),
     },
     "rqmc": {
         **_WALKER_KEYS,
-        "n_beads": (int, None),
-        "sweeps": (int, None),
-        "burn_in_sweeps": (int, None),
-        "direction_policy": (str, "bounce"),
-        "proposal_correction": (bool, False),
-        "equilibration_steps": (int, 1000),
-        "series_out": (str, None),
-        "workers": (int, 1),
+        "n_beads": _Key(int, _NEEDED, lambda value: value >= 2, "n_beads must be at least 2, got {value!r}"),
+        "sweeps": _Key(int, _NEEDED, *_ABOVE_ZERO),
+        "burn_in_sweeps": _Key(int),
+        "direction_policy": _Key(
+            str, "bounce", ("bounce", "random"), "direction_policy must be bounce or random, got '{value}'"
+        ),
+        "proposal_correction": _Key(bool, False),
+        "equilibration_steps": _Key(int, 1000, *_ABOVE_ZERO),
+        **_CHAIN_KEYS,
     },
 }
 
-_COMMON_KEYS = {"seed": (int, 0), "output": (str, None), "subcommand": (str, None)}
+_COMMON_KEYS = ("seed", "output", "subcommand")  # read by _config_from, for every subcommand
 
-_REQUIRED: dict[str, tuple] = {
-    "symbolic": ("order",),
-    "spectral": ("model", "order"),
-    # alpha/epsilon/steps may instead come from a saved series file
-    "vmc": ("alpha", "epsilon", "steps"),
-    "spt-orders": ("alpha", "epsilon", "steps"),
-    "rqmc": ("alpha", "epsilon", "n_beads", "sweeps"),
-}
-
-# keys whose presence identifies the subcommand when none is stated
-_INFERENCE_ORDER = ("rqmc", "spt-orders", "spectral", "vmc", "symbolic")
+# keys whose presence identifies the subcommand when none is stated, tried in this order
 _SIGNATURE_KEYS = {
     "rqmc": {"n_beads", "sweeps"},
     "spt-orders": {"max_order", "tau_grid", "tau_points", "tau_min_factor", "tau_max_factor", "allow_high_orders"},
@@ -147,8 +165,8 @@ _SIGNATURE_KEYS = {
 
 
 def _infer_subcommand(keys: set) -> str:
-    for name in _INFERENCE_ORDER:
-        if keys & _SIGNATURE_KEYS[name]:
+    for name, signature in _SIGNATURE_KEYS.items():
+        if keys & signature:
             return name
     raise ConfigError(
         "cannot infer the subcommand from the config keys; add 'subcommand = <name>'"
@@ -161,62 +179,29 @@ def _suggest(key: str, known) -> str:
 
 
 def validate_parameters(subcommand: str, given: dict) -> dict:
-    """Type-check against the subcommand schema and fill defaults."""
-    if subcommand not in _SCHEMAS:
-        raise ConfigError(f"unknown subcommand '{subcommand}'{_suggest(subcommand, _SCHEMAS)}")
-    schema = _SCHEMAS[subcommand]
-    known = set(schema) | set(_COMMON_KEYS)
+    """Each of the subcommand's keys, typed, checked and defaulted, by its schema row."""
+    schema = _SCHEMAS.get(str(subcommand))
+    if schema is None:
+        raise ConfigError(f"unknown subcommand '{subcommand}'{_suggest(str(subcommand), _SCHEMAS)}")
+    for key in given:
+        if key not in schema and key not in _COMMON_KEYS:
+            raise ConfigError(f"unknown key '{key}' for {subcommand}{_suggest(key, [*schema, *_COMMON_KEYS])}")
+    stood_in = any(row.stand_in and given.get(key) is not None for key, row in schema.items())
     params: dict = {}
-    for key, value in given.items():
-        if key not in known:
-            raise ConfigError(f"unknown key '{key}' for {subcommand}{_suggest(key, known)}")
-        if key in _COMMON_KEYS:
-            continue
-        expected = schema[key][0]
-        params[key] = keyvalue.typed(key, value, expected, ConfigError)
-    for key, (_, default) in schema.items():
-        params.setdefault(key, default)
-    required = _REQUIRED.get(subcommand, ())
-    series_backed = subcommand in ("vmc", "spt-orders") and params.get("series") is not None
-    for key in required:
-        if params.get(key) is None and not series_backed:
-            raise ConfigError(f"{subcommand} config missing required key '{key}'")
-    if "trial" in params and params["trial"] != "gaussian":
-        raise ConfigError(f"unknown trial '{params['trial']}'; only 'gaussian' is built in")
-    if "potential" in params and params["potential"] not in ("harmonic", "quartic", "doublewell"):
-        raise ConfigError(
-            f"unknown potential '{params['potential']}'"
-            f"{_suggest(str(params['potential']), ('harmonic', 'quartic', 'doublewell'))}"
-        )
-    if "direction_policy" in params and params["direction_policy"] not in ("bounce", "random"):
-        raise ConfigError(f"direction_policy must be bounce or random, got '{params['direction_policy']}'")
-    if params.get("workers") is not None and params["workers"] < 1:
-        raise ConfigError("workers must be >= 1")
-    _check_ranges(subcommand, params)
-    return params
-
-
-_POSITIVE = ("epsilon", "steps", "order", "sweeps", "equilibration_steps", "tau_points", "max_order")
-_NONNEGATIVE = ("burn_in", "quartic_coupling")
-
-
-def _check_ranges(subcommand: str, params: dict) -> None:
-    for key in _POSITIVE:
-        value = params.get(key)
-        if value is not None and value <= 0:
-            raise ConfigError(f"key '{key}' must be positive, got {value!r}")
-    for key in _NONNEGATIVE:
-        value = params.get(key)
-        if value is not None and value < 0:
-            raise ConfigError(f"key '{key}' must be >= 0, got {value!r}")
-    n_beads = params.get("n_beads")
-    if n_beads is not None and n_beads < 2:
-        raise ConfigError(f"n_beads must be at least 2, got {n_beads!r}")
-    alpha = params.get("alpha")
-    if alpha is not None and alpha <= 0:
-        raise ConfigError(f"alpha must be positive, got {alpha!r}")
+    for key, row in schema.items():
+        value = keyvalue.typed(key, given[key], row.kind, ConfigError) if key in given else row.default
+        if value is _NEEDED:
+            if not stood_in:
+                raise ConfigError(f"{subcommand} config missing required key '{key}'")
+            value = None
+        if value is not None and row.ok is not None:
+            members = () if callable(row.ok) else row.ok
+            if not (value in members if members else row.ok(value)):
+                raise ConfigError(row.message.format(key=key, value=value, hint=_suggest(str(value), members)))
+        params[key] = value
     if params.get("max_order", 0) > estimators.DEFAULT_MAX_STOCHASTIC_ORDER and not params["allow_high_orders"]:
         raise ConfigError(f"max_order {params['max_order']}: {estimators.HIGH_ORDER_WARNING}")
+    return params
 
 
 def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
@@ -231,8 +216,6 @@ def parse_config(text: str, subcommand: str | None = None) -> RunConfig:
 def _config_from(given: dict, subcommand: str | None) -> RunConfig:
     """Validated RunConfig from parsed keys; the one path every config takes."""
     sub = subcommand or given.get("subcommand") or _infer_subcommand(set(given))
-    if sub not in SUBCOMMANDS:
-        raise ConfigError(f"unknown subcommand '{sub}'{_suggest(str(sub), SUBCOMMANDS)}")
     seed = keyvalue.typed("seed", given.get("seed", 0), int, ConfigError)
     output = given.get("output")
     if output is not None and not isinstance(output, str):
@@ -371,14 +354,16 @@ def _read_series_csv(path: str) -> estimators.LocalEnergySeries:
         raise ConfigError(_bad_row_message(path, header_lines))
     # Move the W column to the front of the rows' own buffer, block by block
     # (only the first block overlaps its source), so the file's values are
-    # never held twice.
+    # never held twice, then shrink the buffer to those n values.
     n = rows.shape[0]
     flat = rows.reshape(-1)
     for start in range(0, n, CSV_CHUNK_ROWS):
         stop = min(start + CSV_CHUNK_ROWS, n)
         flat[start:stop] = rows[start:stop, 1]
+    del flat
+    rows.resize(n, refcheck=False)
     try:
-        return estimators.LocalEnergySeries(values=flat[:n], step=epsilon, burn_in=burn_in)
+        return estimators.LocalEnergySeries(values=rows, step=epsilon, burn_in=burn_in)
     except ValueError as exc:
         raise ConfigError(f"series file {path}: {exc}") from None
 
@@ -408,15 +393,7 @@ def _bad_row_message(path: str, header_lines: int) -> str:
 
 
 def _build_trial_potential(params: dict):
-    trial = walker.GaussianTrial(alpha=params["alpha"])
-    name = params["potential"]
-    if name == "harmonic":
-        potential = walker.HarmonicPotential()
-    elif name == "quartic":
-        potential = walker.QuarticPotential(params["quartic_coupling"])
-    else:
-        potential = walker.DoubleWellPotential(params["barrier"], params["half_separation"])
-    return trial, potential
+    return walker.GaussianTrial(alpha=params["alpha"]), _POTENTIALS[params["potential"]](params)
 
 
 def _run_symbolic(config: RunConfig) -> tuple[dict, list[str]]:
@@ -525,7 +502,7 @@ def _run_vmc(config: RunConfig) -> tuple[dict, list[str]]:
 
 def _spt_orders_chain(params: dict, series: estimators.LocalEnergySeries):
     integral = estimators.autocorrelation_integral(series)
-    if params.get("tau_grid"):
+    if params["tau_grid"] is not None:
         grid, source = params["tau_grid"], "tau_grid"
     else:
         if integral.autocorr_time <= 0:

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_MAX_STOCHASTIC_ORDER = 3
+_SOKAL_WINDOW = 6.0  # Sokal's window: k* is the smallest lag with k* >= _SOKAL_WINDOW * tau_int(k*)
+_MIN_LINEAR_R2 = 0.99  # a gamma_n(tau) fit below this R^2, with spread above its noise, is not linear
 HIGH_ORDER_WARNING = (
     "stochastic orders above 3 are ill conditioned: the cumulant-from-moment "
     "recursion amplifies noise rapidly with order; pass allow_high_orders=True "
@@ -187,7 +189,7 @@ def vmc_estimate(series: LocalEnergySeries) -> EstimateWithError:
         raise SeriesTooShortError(
             "no blocking plateau: series too short for its correlation time"
         )
-    tau_steps, _, _ = _integrated_autocorr_steps(x, window_factor=6.0)
+    tau_steps, _, _ = _integrated_autocorr_steps(x, _SOKAL_WINDOW)
     return EstimateWithError(
         mean=mean,
         std_error=math.sqrt(sem2),
@@ -233,14 +235,13 @@ def autocovariance(values: np.ndarray, max_lag: int, mean: float | None = None) 
 def autocorrelation_integral(
     series: LocalEnergySeries,
     *,
-    window_factor: float = 6.0,
     n_batches: int = 16,
 ) -> EstimateWithError:
     """Second-order correction from the local-energy autocovariance.
 
     epsilon_2-hat = -eps * (c(0)/2 + sum_{k=1..k*} c(k)), the trapezoidal
     discretization of -integral of the autocorrelation function.  The
-    window k* is the smallest lag with k* >= window_factor * tau_int(k*);
+    window k* is the smallest lag with k* >= _SOKAL_WINDOW * tau_int(k*);
     the error bar is the spread of the same integral over contiguous
     batches, all sharing the pooled window.
     """
@@ -249,7 +250,7 @@ def autocorrelation_integral(
     mean = float(np.mean(x))
     if n < 2 or np.var(x) == 0.0:
         return EstimateWithError(mean=0.0, std_error=0.0, autocorr_time=0.0, effective_samples=float(n))
-    tau_steps, kstar, c = _integrated_autocorr_steps(x, window_factor)
+    tau_steps, kstar, c = _integrated_autocorr_steps(x, _SOKAL_WINDOW)
     c = c[: kstar + 1]
     eps = series.step
     total = float(-eps * (0.5 * c[0] + np.sum(c[1:])))
@@ -299,8 +300,11 @@ def action_moments(
     x = series.analysis_values
     n = x.size
     eps = series.step
+    taus = np.asarray(tau_grid, dtype=float)
+    if np.any(np.diff(taus) <= 0):
+        raise ValueError(f"tau grid must be strictly increasing, got {taus.tolist()}")
     widths = []
-    for tau in np.asarray(tau_grid, dtype=float):
+    for tau in taus:
         w = int(round(tau / eps))
         if w < 1:
             raise ValueError(f"tau {tau} is below one step {eps}")
@@ -309,7 +313,7 @@ def action_moments(
                 f"tau {tau} needs {w} links but the series has only {n - 1}"
             )
         widths.append(w)
-    if any(b <= a for a, b in zip(widths, widths[1:])):
+    if any(b == a for a, b in zip(widths, widths[1:])):
         raise ValueError(
             "tau grid collapses after snapping to whole steps; spread the grid or reduce epsilon"
         )
@@ -393,7 +397,6 @@ def stochastic_epsilons(
     max_order: int | None = None,
     *,
     allow_high_orders: bool = False,
-    r2_min: float = 0.99,
     return_diagnostics: bool = False,
 ):
     """Perturbative corrections from the tau-slopes of the cumulants.
@@ -441,9 +444,9 @@ def stochastic_epsilons(
         intercept, slope, r2 = _weighted_line_fit(tau, y, weights)
         spread = float(np.ptp(y))
         noise = float(np.mean(s))
-        if r2 < r2_min and spread > 3.0 * noise:
+        if r2 < _MIN_LINEAR_R2 and spread > 3.0 * noise:
             raise NonLinearityError(
-                f"gamma_{order}(tau) fit R^2 = {r2:.4f} < {r2_min}; "
+                f"gamma_{order}(tau) fit R^2 = {r2:.4f} < {_MIN_LINEAR_R2}; "
                 "tau grid is not in the asymptotic linear regime"
             )
         batch_slopes = np.array([

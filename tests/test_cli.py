@@ -304,6 +304,14 @@ class TestSeriesStreaming:
         assert write_peak < 32e6
         assert read_peak < 40e6
 
+    def test_read_series_owns_its_values(self, tmp_path):
+        # the series keeps its n values, not the (n, 2) buffer the rows were parsed into
+        path = str(tmp_path / "series.csv")
+        write_series_csv(path, LocalEnergySeries(values=np.linspace(0.0, 1.0, CSV_CHUNK_ROWS + 3), step=0.01))
+        values = read_series_csv(path).values
+        assert values.flags.owndata
+        assert values.nbytes == (CSV_CHUNK_ROWS + 3) * values.itemsize
+
 
 MALFORMED_SERIES = {
     "not-a-number": ("# epsilon = 0.01\nstep,W\n0,0.5\n1,abc\n2,0.5\n", "line 4"),
@@ -717,8 +725,12 @@ class TestErrorPaths:
             ("tau_grid = [0.1, 0.2]", "tau_grid"),
             ("tau_points = 2", "tau_points"),
             ("tau_min_factor = 50.0", "tau_min_factor"),
+            ("tau_grid = []", "tau_grid"),
         ],
-        ids=["not-a-number", "decreasing", "below-one-step", "two-points", "two-points-from-factors", "min-above-max"],
+        ids=[
+            "not-a-number", "decreasing", "below-one-step", "two-points", "two-points-from-factors", "min-above-max",
+            "empty",
+        ],
     )
     def test_tau_grid_mistakes_are_config_errors(self, line, key, tmp_path, capsys):
         cfg = tmp_path / "orders.cfg"
@@ -727,6 +739,14 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert key in err
+
+    @pytest.mark.parametrize("line", ["tau_grid = [0.4, 0.3, 0.2, 0.1]", "tau_min_factor = 50.0"])
+    def test_decreasing_grid_is_called_decreasing(self, line, tmp_path, capsys):
+        cfg = tmp_path / "orders.cfg"
+        cfg.write_text(f"alpha = 1.2\nepsilon = 0.01\nsteps = 20000\n{line}\n")
+        assert main(["spt-orders", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "increasing" in err and "collapses" not in err
 
     def test_non_string_output_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "symbolic.cfg"

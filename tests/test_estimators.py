@@ -259,6 +259,14 @@ class TestActionMoments:
         with pytest.raises(ValueError):
             action_moments(s, [1.0, 2.0], 0)
 
+    def test_order_and_collapse_are_told_apart(self):
+        s = LocalEnergySeries(values=np.ones(1000), step=0.01, burn_in=0)
+        for grid in ([0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.2, 0.3]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                action_moments(s, grid, 2)
+        with pytest.raises(ValueError, match="collapses after snapping"):
+            action_moments(s, [0.1, 0.101, 0.2, 0.3], 2)  # 0.1 and 0.101 both snap to 10 steps
+
 
 class TestGammaRecursion:
     def test_gaussian_action_cumulants(self):
