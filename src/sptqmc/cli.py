@@ -28,7 +28,7 @@ from importlib import metadata
 import numpy as np
 
 from . import _STARTED, estimators, keyvalue, rqmc, rspt, spectral, symexpr, walker
-from .parallel import fork_imap, fork_map
+from .parallel import fork_imap
 
 SCHEMA_VERSION = 1
 
@@ -64,7 +64,8 @@ class RunReport:
     wall_time: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps(_pyify(self.report), sort_keys=True, indent=2) + "\n"
+        # numpy arrays and scalars become plain values; np.float64 is a float and keeps its digits
+        return json.dumps(self.report, sort_keys=True, indent=2, default=lambda value: value.tolist()) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +202,12 @@ def validate_parameters(subcommand: str, given: dict) -> dict:
         params[key] = value
     if params.get("max_order", 0) > estimators.DEFAULT_MAX_STOCHASTIC_ORDER and not params["allow_high_orders"]:
         raise ConfigError(f"max_order {params['max_order']}: {estimators.HIGH_ORDER_WARNING}")
+    # the Gaussian trial's step x' = (1 - alpha epsilon) x + noise has a stationary law only below 2
+    if "alpha" in schema and not stood_in and params["alpha"] * params["epsilon"] >= 2.0:
+        raise ConfigError(
+            f"alpha * epsilon = {params['alpha'] * params['epsilon']!r}: the Langevin walk diverges "
+            "unless alpha * epsilon < 2; reduce epsilon"
+        )
     return params
 
 
@@ -226,22 +233,6 @@ def _config_from(given: dict, subcommand: str | None) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # serialization helpers
-
-
-def _pyify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _pyify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_pyify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_pyify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
 
 
 def _atomic_write(path: str, chunks: str | Iterable[str]) -> None:
@@ -444,29 +435,36 @@ def _run_spectral(config: RunConfig) -> tuple[dict, list[str]]:
     return results, human
 
 
-def _obtain_series(params: dict, seed: int, worker: int = 0) -> estimators.LocalEnergySeries:
-    """Worker's series, read from `series` or sampled."""
-    if params.get("series"):
-        return read_series_csv(params["series"])
-    rng = walker.derive_rng(seed, "vmc-chain", worker)
-    keys = {key: params[key] for key in ("epsilon", "steps", "burn_in")}
-    return walker.sample_local_energy_series(*_build_trial_potential(params), rng=rng, **keys)
+def _series_walk(params: dict, seed: int) -> Callable[[int], estimators.LocalEnergySeries]:
+    """walk(worker): the worker's series, read from `series` or sampled."""
+    def walk(worker: int) -> estimators.LocalEnergySeries:
+        if params.get("series"):
+            return read_series_csv(params["series"])
+        rng = walker.derive_rng(seed, "vmc-chain", worker)
+        keys = {key: params[key] for key in ("epsilon", "steps", "burn_in")}
+        return walker.sample_local_energy_series(*_build_trial_potential(params), rng=rng, **keys)
+
+    return walk
 
 
-def _run_chains(params: dict, seed: int, analyse: Callable) -> list:
-    """analyse(series) for each worker's series, in worker order; worker 0's series is saved to
-    `series_out` here, after the chains so the writer can fork too, and before a chain's error is raised."""
+def _run_chains(params: dict, walk: Callable, analyse: Callable, write: Callable) -> list:
+    """analyse(walk(worker)) for each worker, in worker order, the chains on every usable core.
+
+    Worker 0's walk is saved to `series_out` by write(path, walked) here,
+    after the chains so the writer can fork too, and before a chain's
+    error is raised; no chain starts after a failed one.
+    """
     workers = params["workers"] if not params.get("series") else 1
     save = params.get("series_out")
 
     def chain(worker: int):
-        series = result = error = None
+        walked = result = error = None
         try:
-            series = _obtain_series(params, seed, worker)
-            result = analyse(series)
-        except Exception as exc:  # raised in the caller, after worker 0's series is saved
+            walked = walk(worker)
+            result = analyse(walked)
+        except Exception as exc:  # raised in the caller, after worker 0's walk is saved
             error = exc
-        return result, error, series if save and worker == 0 else None
+        return result, error, walked if save and worker == 0 else None
 
     outcomes = []
     with closing(fork_imap(chain, range(workers))) as chains:
@@ -476,22 +474,27 @@ def _run_chains(params: dict, seed: int, analyse: Callable) -> list:
                 break  # the chains after a failed one are not run, or are cancelled
     results, errors, kept = zip(*outcomes)
     if kept[0] is not None:
-        write_series_csv(save, kept[0])
+        write(save, kept[0])
     if errors[-1] is not None:
         raise errors[-1]
     return list(results)
 
 
+def _vmc_chain(series: estimators.LocalEnergySeries):
+    """The chain's estimate, and the epsilon, steps and burn_in of the series it analysed."""
+    walked = {"epsilon": series.step, "steps": series.values.size - series.burn_in, "burn_in": series.burn_in}
+    return estimators.vmc_estimate(series), walked
+
+
 def _run_vmc(config: RunConfig) -> tuple[dict, list[str]]:
     params = config.parameters
-    chains = _run_chains(params, config.seed, estimators.vmc_estimate)
+    per_worker = _run_chains(params, _series_walk(params, config.seed), _vmc_chain, write_series_csv)
+    chains = [row[0] for row in per_worker]
     merged = estimators.merge_estimates(chains)
     results = {
         "energy": _estimate_dict(merged),
         "workers": [_estimate_dict(c) for c in chains],
-        "epsilon": params["epsilon"],
-        "steps": params["steps"],
-        "burn_in": params["burn_in"],
+        **per_worker[0][1],
     }
     human = [
         f"VMC energy = {merged.mean!r} +- {merged.std_error!r}",
@@ -532,7 +535,9 @@ def _spt_orders_chain(params: dict, series: estimators.LocalEnergySeries):
 
 def _run_spt_orders(config: RunConfig) -> tuple[dict, list[str]]:
     params = config.parameters
-    per_worker = _run_chains(params, config.seed, lambda series: _spt_orders_chain(params, series))
+    per_worker = _run_chains(
+        params, _series_walk(params, config.seed), lambda series: _spt_orders_chain(params, series), write_series_csv
+    )
     merged_integral = estimators.merge_estimates([row[0] for row in per_worker])
     merged_orders = [estimators.merge_estimates([row[1][n] for row in per_worker]) for n in range(params["max_order"])]
     first_diag = per_worker[0][2]
@@ -564,16 +569,14 @@ def _run_spt_orders(config: RunConfig) -> tuple[dict, list[str]]:
 def _run_rqmc(config: RunConfig) -> tuple[dict, list[str]]:
     params = config.parameters
     trial, potential = _build_trial_potential(params)
-    workers = params["workers"]
     run_keys = ("n_beads", "epsilon", "sweeps", "burn_in_sweeps", "direction_policy",
                 "proposal_correction", "equilibration_steps")
     options = {key: params[key] for key in run_keys}
-    runs = fork_map(
-        lambda w: rqmc.run_reptation(trial, potential, rng=walker.derive_rng(config.seed, "rqmc-chain", w), **options),
-        range(workers),
-    )
-    if params.get("series_out"):
-        _write_sweeps_csv(params["series_out"], runs[0])
+
+    def walk(worker: int) -> rqmc.RQMCRunResult:
+        return rqmc.run_reptation(trial, potential, rng=walker.derive_rng(config.seed, "rqmc-chain", worker), **options)
+
+    runs = _run_chains(params, walk, lambda run: run, _write_sweeps_csv)
     energy = estimators.merge_estimates([r.energy for r in runs])
     pure = {}
     for name in runs[0].pure_observables:
@@ -587,7 +590,7 @@ def _run_rqmc(config: RunConfig) -> tuple[dict, list[str]]:
         "epsilon": params["epsilon"],
         "sweeps": params["sweeps"],
         "burn_in_sweeps": [r.burn_in_sweeps for r in runs],
-        "workers": workers,
+        "workers": params["workers"],
     }
     human = [
         f"RQMC energy = {energy.mean!r} +- {energy.std_error!r}",
@@ -621,8 +624,8 @@ def run(config: RunConfig) -> RunReport:
         "command": config.subcommand,
         "version": version,
         "seed": config.seed,
-        "config": _pyify(config.parameters),
-        "results": _pyify(results),
+        "config": config.parameters,
+        "results": results,
     }
     return RunReport(report=report, human=human, wall_time=wall)
 

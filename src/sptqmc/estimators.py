@@ -59,8 +59,8 @@ class LocalEnergySeries:
             raise ValueError("values must be a 1-d array")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
-        if self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"step (the walk's epsilon) must be a positive finite number, got {self.step!r}")
         if self.burn_in < 0 or self.burn_in >= values.size:
             raise ValueError(
                 f"burn_in {self.burn_in} outside 0..{values.size - 1}"

@@ -1,4 +1,4 @@
-"""Independent items (oracle grid points, CLI chains, CSV blocks) on forked processes, one per usable core."""
+"""Independent items (CLI chains, CSV blocks) on forked processes, one per usable core."""
 
 from __future__ import annotations
 

@@ -35,12 +35,13 @@ import numpy as np
 from . import estimators
 from .estimators import EstimateWithError
 from .walker import (
-    GaussianTrial,
     derive_rng,
     langevin_kernel,
+    langevin_walk,
     local_energy,
     log_transition_density,
     scalar_langevin,
+    start_position,
 )
 
 
@@ -129,24 +130,11 @@ def init_reptile(
     rng: np.random.Generator,
     equilibration_steps: int = 1000,
 ) -> Reptile:
-    """Reptile from one Langevin trajectory of an equilibrated walker."""
+    """Reptile from the last n_beads positions of one Langevin walk, equilibration_steps past its start."""
     if n_beads < 2:
         raise ValueError(f"n_beads must be >= 2, got {n_beads}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    dim = getattr(trial, "dim", 1)
-    if isinstance(trial, GaussianTrial):
-        start = rng.normal(0.0, trial.equilibrium_sigma(), size=dim)
-    else:
-        start = np.zeros(dim)
-    _, propose = langevin_kernel(trial, potential, epsilon)
-    x = start
-    for _ in range(equilibration_steps):
-        x = propose(rng, x)
-    positions = np.empty((n_beads, dim))
-    for i in range(n_beads):
-        x = propose(rng, x)
-        positions[i] = x
+    steps = max(equilibration_steps, 0) + n_beads
+    positions = langevin_walk(trial, potential, epsilon, steps, rng, start_position(trial, rng))[-n_beads:]
     ws = np.asarray(local_energy(trial, potential, positions), dtype=float)
     return Reptile(
         beads=(positions[i].copy() for i in range(n_beads)),

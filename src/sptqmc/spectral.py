@@ -15,6 +15,7 @@ by epsilon_2 = -g_2 <= 0.  The oracles pin this convention down.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -221,28 +222,17 @@ def laurent_oracle(
 
         def chain_sum(z):
             total = mp.mpf(0)
-            dim = model.dim
-            # literal sum over all (n-1)-index chains, ground index included
-            idx = [0] * (n - 1)
-            while True:
-                num = wmat[0][idx[-1]]
-                for a, b in zip(idx[-1:0:-1], idx[-2::-1]):
+            # literal sum over all chains 0 -> k_1 -> ... -> k_{n-1} -> 0, ground index included
+            for chain in itertools.product(range(model.dim), repeat=n - 1):
+                num = wmat[0][chain[0]]
+                for a, b in zip(chain, chain[1:]):
                     num *= wmat[a][b]
-                num *= wmat[idx[0]][0]
+                num *= wmat[chain[-1]][0]
                 den = mp.mpf(1)
-                for k in idx:
+                for k in reversed(chain):
                     den *= energies[k] + z
                 total += num / den
-                pos = 0
-                while pos < n - 1:
-                    idx[pos] += 1
-                    if idx[pos] < dim:
-                        break
-                    idx[pos] = 0
-                    pos += 1
-                else:
-                    return total
-                continue
+            return total
 
         values = [chain_sum(z) * z ** (n - 1) for z in zs]
         # fit in u = z/zmax to keep the Vandermonde well conditioned

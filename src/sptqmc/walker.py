@@ -16,9 +16,11 @@ The Langevin proposal is decided here: proposal_mean is its mean.
 scalar_langevin gives W and one step as float closures for a 1-d
 Gaussian trial in a built-in potential; the reptation sampler moves its
 beads as Python floats on them.  langevin_kernel hands per-step loops
-over position arrays (the generic walk below, init_reptile's walk, the
-creep kernel of every other system) closures for W and one step, on
-scalar_langevin's float math where it applies and on numpy otherwise.
+over position arrays (langevin_walk, the creep kernel of every other
+system) closures for W and one step, on scalar_langevin's float math
+where it applies and on numpy otherwise.  langevin_walk is the one walk
+loop and start_position its one start rule; the series sampler and
+rqmc.init_reptile both walk on them.
 """
 
 from __future__ import annotations
@@ -271,6 +273,25 @@ def derive_rng(seed: int, purpose: str, index: int = 0) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # series generation
 
+
+def start_position(trial, rng: np.random.Generator) -> np.ndarray:
+    """A walk's first position: drawn from Phi0^2 for a Gaussian trial, else the origin."""
+    if isinstance(trial, GaussianTrial):
+        return rng.normal(0.0, trial.equilibrium_sigma(), size=trial.dim)
+    return np.zeros(getattr(trial, "dim", 1))
+
+
+def langevin_walk(trial, potential, epsilon: float, steps: int, rng: np.random.Generator, start) -> np.ndarray:
+    """The positions after each of `steps` Langevin steps out of start, one row per step."""
+    _, propose = langevin_kernel(trial, potential, epsilon)
+    trajectory = np.empty((steps, len(start)))
+    x = start
+    for i in range(steps):
+        x = propose(rng, x)
+        trajectory[i] = x
+    return trajectory
+
+
 _SCAN_ROWS = 65536  # rows of one coordinate per list in the Gaussian walk's scan: 4 MB, not a whole column
 
 
@@ -288,15 +309,17 @@ def sample_local_energy_series(
 ):
     """Local-energy series from one Langevin walk.
 
-    Runs burn_in + steps Langevin updates and evaluates W on the whole
-    trajectory in a single vectorized pass; the returned series carries
-    the burn_in marker and analysis slices it off.  For a Gaussian trial
-    the linear recursion x' = (1 - eps alpha) x + eta runs per coordinate
-    as a float scan over the noise, in place, rounding bit for bit as the
-    scipy.signal.lfilter call it replaced; the noise stream and so the
-    statistics match the generic loop.  The scan costs about 0.2 s per 2M
-    steps on a quiet 2-core Xeon VM; lfilter plus the 1.0-1.3 s import of
-    scipy.signal would be cheaper only beyond about 10M steps per chain.
+    Runs burn_in + steps Langevin updates out of start_position (or
+    initial) and evaluates W on the whole trajectory in a single
+    vectorized pass; the returned series carries the burn_in marker and
+    analysis slices it off.  For a Gaussian trial the linear recursion
+    x' = (1 - eps alpha) x + eta runs per coordinate as a float scan over
+    the noise, in place, rounding bit for bit as the scipy.signal.lfilter
+    call it replaced; the noise stream and so the statistics match
+    langevin_walk, which other trials walk.  The scan costs about 0.2 s
+    per 2M steps on a quiet 2-core Xeon VM; lfilter plus the 1.0-1.3 s
+    import of scipy.signal would be cheaper only beyond about 10M steps
+    per chain.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -304,19 +327,12 @@ def sample_local_energy_series(
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     if rng is None:
         rng = derive_rng(0 if seed is None else seed, "local-energy-series")
-    dim = getattr(trial, "dim", 1)
-    if initial is None:
-        if isinstance(trial, GaussianTrial):
-            start = rng.normal(0.0, trial.equilibrium_sigma(), size=dim)
-        else:
-            start = np.zeros(dim)
-    else:
-        start = np.atleast_1d(np.asarray(initial, dtype=float))
+    start = start_position(trial, rng) if initial is None else np.atleast_1d(np.asarray(initial, dtype=float))
 
     total = burn_in + steps
     if isinstance(trial, GaussianTrial):
         decay = 1.0 - epsilon * trial.alpha
-        trajectory = rng.normal(0.0, math.sqrt(epsilon), size=(total, dim))
+        trajectory = rng.normal(0.0, math.sqrt(epsilon), size=(total, trial.dim))
         # AR(1) per coordinate seeded with the initial position, scanned in place
         for k, y in enumerate(start.tolist()):
             column = trajectory[:, k]
@@ -327,12 +343,7 @@ def sample_local_energy_series(
                     block[i] = y
                 column[begin:begin + _SCAN_ROWS] = block
     else:
-        _, propose = langevin_kernel(trial, potential, epsilon)
-        trajectory = np.empty((total, dim))
-        x = start
-        for i in range(total):
-            x = propose(rng, x)
-            trajectory[i] = x
+        trajectory = langevin_walk(trial, potential, epsilon, total, rng, start)
     values = np.asarray(local_energy(trial, potential, trajectory), dtype=float)
     series = LocalEnergySeries(values=values, step=float(epsilon), burn_in=burn_in)
     if return_positions:

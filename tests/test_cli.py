@@ -138,6 +138,16 @@ class TestParseConfig:
             parse_config(VMC_CONFIG + "max_order = 4")
         assert parse_config(VMC_CONFIG + "max_order = 4\nallow_high_orders = true").parameters["max_order"] == 4
 
+    def test_diverging_walk_checked_at_parse_time(self):
+        # x' = (1 - alpha epsilon) x + noise is stationary only for alpha epsilon < 2
+        for keys in ("steps = 1000", "n_beads = 20\nsweeps = 50"):
+            with pytest.raises(ConfigError, match="alpha \\* epsilon < 2"):
+                parse_config(f"alpha = 1.2\nepsilon = 5.0\n{keys}")
+            with pytest.raises(ConfigError, match="alpha \\* epsilon < 2"):
+                parse_config(f"alpha = 1.0\nepsilon = 2.0\n{keys}")
+        assert parse_config("alpha = 1.2\nepsilon = 1.6\nsteps = 1000").parameters["epsilon"] == 1.6
+        assert parse_config("alpha = 1.2\nepsilon = 5.0\nseries = s.csv").parameters["series"] == "s.csv"
+
     def test_value_type_errors(self):
         with pytest.raises(ConfigError, match="'steps' must be an integer"):
             parse_config("alpha = 1.2\nepsilon = 0.01\nsteps = 2.5")
@@ -322,6 +332,8 @@ MALFORMED_SERIES = {
     "bad-epsilon": ("# epsilon = small\nstep,W\n0,0.5\n", "line 1"),
     "burn-in-past-the-end": ("# epsilon = 0.01\n# burn_in = 5\n0,0.5\n1,0.5\n", "burn_in"),
     "not-utf-8": ("# epsilon = 0.01\nstep,W\n0,0.5\n1,\xff\n", "not UTF-8"),
+    "nan-epsilon": ("# epsilon = nan\nstep,W\n0,0.5\n1,0.5\n", "epsilon"),
+    "infinite-epsilon": ("# epsilon = inf\nstep,W\n0,0.5\n1,0.5\n", "epsilon"),
 }
 
 
@@ -580,6 +592,17 @@ class TestVmcCommand:
             assert main([sub, "--config", str(cfg), "--seed", "5"]) == 0
         assert written["vmc"].read_bytes() == written["spt-orders"].read_bytes()
 
+    def test_report_echoes_the_analysed_series(self, tmp_path):
+        series_path = tmp_path / "chain.csv"
+        values = np.random.default_rng(6).normal(0.5, 0.1, size=3500)
+        write_series_csv(str(series_path), LocalEnergySeries(values=values, step=0.02, burn_in=500))
+        cfg = tmp_path / "vmc.cfg"
+        cfg.write_text(f"series = {series_path}\n")
+        out_path = tmp_path / "vmc.json"
+        assert main(["vmc", "--config", str(cfg), "--output", str(out_path)]) == 0
+        results = json.loads(out_path.read_text())["results"]
+        assert (results["epsilon"], results["steps"], results["burn_in"]) == (0.02, 3000, 500)
+
     def test_short_series_is_compute_error(self, tmp_path, capsys):
         series_path = tmp_path / "short.csv"
         series = LocalEnergySeries(values=np.full(500, 0.51), step=0.01, burn_in=0)
@@ -747,6 +770,17 @@ class TestErrorPaths:
         assert main(["spt-orders", "--config", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "increasing" in err and "collapses" not in err
+
+    @pytest.mark.parametrize(
+        "sub, keys", [("vmc", "steps = 20000\n"), ("rqmc", "n_beads = 20\nsweeps = 50\nburn_in_sweeps = 5\n")]
+    )
+    def test_diverging_walk_is_config_error(self, sub, keys, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 1.2\nepsilon = 5.0\n" + keys)
+        out_path = tmp_path / "report.json"
+        assert main([sub, "--config", str(cfg), "--output", str(out_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: alpha * epsilon = ")
+        assert not out_path.exists()
 
     def test_non_string_output_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "symbolic.cfg"

@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sptqmc import LocalEnergySeries, parallel, walker
+from sptqmc import LocalEnergySeries, parallel, rqmc, walker
 from sptqmc.cli import CSV_CHUNK_ROWS, EXIT_COMPUTE, EXIT_CONFIG, main, write_series_csv
-from sptqmc.estimators import WindowSelectionError
+from sptqmc.estimators import SeriesTooShortError, WindowSelectionError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 MULTICORE = pytest.mark.skipif(
@@ -204,6 +204,23 @@ class TestSeriesOutOnEveryExit:
         monkeypatch.setattr(walker, "sample_local_energy_series", lambda *a, **k: calls.append(1) or sample(*a, **k))
         assert _run_cli(tmp_path, "vmc", self.SHORT + "workers = 3\n", capsys)[0] == EXIT_COMPUTE
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_failing_rqmc_chain_keeps_worker_0_sweeps(self, path, tmp_path, capsys, on_path, monkeypatch):
+        expected = _run_cli(tmp_path, "rqmc", RQMC_KEYS.replace("workers = 2", "workers = 1"), capsys)[3]
+        on_path(path)
+        run, failing = rqmc.run_reptation, walker.derive_rng(3, "rqmc-chain", 1).bit_generator.state
+
+        def fail_worker_1(*args, rng, **kwargs):
+            if rng.bit_generator.state == failing:
+                raise SeriesTooShortError("worker 1 fails")
+            return run(*args, rng=rng, **kwargs)
+
+        monkeypatch.setattr(rqmc, "run_reptation", fail_worker_1)
+        code, err, report, csv = _run_cli(tmp_path, "rqmc", RQMC_KEYS, capsys)
+        assert (code, report) == (EXIT_COMPUTE, None)
+        assert err.startswith("compute error: worker 1 fails")
+        assert csv is not None and csv == expected
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("sub", ["vmc", "spt-orders"])
