@@ -134,7 +134,7 @@ def init_reptile(
     if n_beads < 2:
         raise ValueError(f"n_beads must be >= 2, got {n_beads}")
     steps = max(equilibration_steps, 0) + n_beads
-    positions = langevin_walk(trial, potential, epsilon, steps, rng, start_position(trial, rng))[-n_beads:]
+    positions = langevin_walk(trial, potential, epsilon, steps, rng, start_position(trial, rng), keep=n_beads)
     ws = np.asarray(local_energy(trial, potential, positions), dtype=float)
     return Reptile(
         beads=(positions[i].copy() for i in range(n_beads)),

@@ -281,14 +281,15 @@ def start_position(trial, rng: np.random.Generator) -> np.ndarray:
     return np.zeros(getattr(trial, "dim", 1))
 
 
-def langevin_walk(trial, potential, epsilon: float, steps: int, rng: np.random.Generator, start) -> np.ndarray:
-    """The positions after each of `steps` Langevin steps out of start, one row per step."""
+def langevin_walk(trial, potential, epsilon: float, steps: int, rng, start, keep: int | None = None) -> np.ndarray:
+    """The positions after each of `steps` Langevin steps out of start, one row per step (the last keep rows if given)."""
     _, propose = langevin_kernel(trial, potential, epsilon)
-    trajectory = np.empty((steps, len(start)))
+    trajectory = np.empty((steps if keep is None else min(keep, steps), len(start)))
     x = start
-    for i in range(steps):
+    for i in range(len(trajectory) - steps, len(trajectory)):  # steps before row 0 are walked, not stored
         x = propose(rng, x)
-        trajectory[i] = x
+        if i >= 0:
+            trajectory[i] = x
     return trajectory
 
 

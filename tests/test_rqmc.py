@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -139,6 +140,18 @@ class TestInitReptile:
         r = init_reptile(trial, pot, 30, 0.05, rng, equilibration_steps=100)
         assert abs(r.total_action - math.fsum(r.link_actions)) < 1e-12
         assert r.audit_links(lambda b: float(local_energy(trial, pot, b))) < 1e-12
+
+    def test_equilibration_is_not_stored(self):
+        # 100,000 stored steps would take 800 kB; the reptile itself is 20 beads
+        trial, pot = GaussianTrial(ALPHA), QuarticPotential(0.1)
+        init_reptile(trial, pot, 20, 0.05, derive_rng(4, "init"), equilibration_steps=10)
+        tracemalloc.start()
+        try:
+            init_reptile(trial, pot, 20, 0.05, derive_rng(4, "init"), equilibration_steps=100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_validation(self):
         rng = derive_rng(4, "init")
