@@ -23,12 +23,13 @@ import warnings
 from collections.abc import Callable, Collection, Iterable, Iterator
 from contextlib import closing
 from dataclasses import dataclass, field, replace
-from importlib import metadata
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import _STARTED, estimators, keyvalue, rqmc, rspt, spectral, symexpr, walker
+from . import _STARTED, errors, keyvalue
 from .parallel import fork_imap
+
+if TYPE_CHECKING:  # each runner imports the modules it runs, so that a subcommand loads only what it uses
+    from . import estimators, rqmc
 
 SCHEMA_VERSION = 1
 
@@ -94,11 +95,11 @@ class _Key:
 _ABOVE_ZERO = (lambda value: value > 0, "key '{key}' must be positive, got {value!r}")
 _NOT_BELOW_ZERO = (lambda value: value >= 0, "key '{key}' must be >= 0, got {value!r}")
 
-# potential name -> its constructor from the parameters; the first is the default
+# potential name -> its constructor from sptqmc.walker and the parameters; the first is the default
 _POTENTIALS = {
-    "harmonic": lambda params: walker.HarmonicPotential(),
-    "quartic": lambda params: walker.QuarticPotential(params["quartic_coupling"]),
-    "doublewell": lambda params: walker.DoubleWellPotential(params["barrier"], params["half_separation"]),
+    "harmonic": lambda walker, params: walker.HarmonicPotential(),
+    "quartic": lambda walker, params: walker.QuarticPotential(params["quartic_coupling"]),
+    "doublewell": lambda walker, params: walker.DoubleWellPotential(params["barrier"], params["half_separation"]),
 }
 
 _WALKER_KEYS = {
@@ -200,8 +201,10 @@ def validate_parameters(subcommand: str, given: dict) -> dict:
             if not (value in members if members else row.ok(value)):
                 raise ConfigError(row.message.format(key=key, value=value, hint=_suggest(str(value), members)))
         params[key] = value
-    if params.get("max_order", 0) > estimators.DEFAULT_MAX_STOCHASTIC_ORDER and not params["allow_high_orders"]:
-        raise ConfigError(f"max_order {params['max_order']}: {estimators.HIGH_ORDER_WARNING}")
+    if "max_order" in params:
+        from . import estimators
+        if params["max_order"] > estimators.DEFAULT_MAX_STOCHASTIC_ORDER and not params["allow_high_orders"]:
+            raise ConfigError(f"max_order {params['max_order']}: {estimators.HIGH_ORDER_WARNING}")
     # the Gaussian trial's step x' = (1 - alpha epsilon) x + noise has a stationary law only below 2
     if "alpha" in schema and not stood_in and params["alpha"] * params["epsilon"] >= 2.0:
         raise ConfigError(
@@ -310,6 +313,8 @@ def read_series_csv(path: str) -> estimators.LocalEnergySeries:
 
 
 def _read_series_csv(path: str) -> estimators.LocalEnergySeries:
+    import numpy as np
+    from . import estimators
     epsilon = None
     burn_in = 0
     header_lines = 0
@@ -384,10 +389,12 @@ def _bad_row_message(path: str, header_lines: int) -> str:
 
 
 def _build_trial_potential(params: dict):
-    return walker.GaussianTrial(alpha=params["alpha"]), _POTENTIALS[params["potential"]](params)
+    from . import walker
+    return walker.GaussianTrial(alpha=params["alpha"]), _POTENTIALS[params["potential"]](walker, params)
 
 
 def _run_symbolic(config: RunConfig) -> tuple[dict, list[str]]:
+    from . import rspt, symexpr
     order = config.parameters["order"]
     series = rspt.epsilon_series(order)
     orders = {}
@@ -408,6 +415,7 @@ def _run_symbolic(config: RunConfig) -> tuple[dict, list[str]]:
 
 
 def _run_spectral(config: RunConfig) -> tuple[dict, list[str]]:
+    from . import spectral
     params = config.parameters
     model = spectral.load_model(params["model"])
     order = params["order"]
@@ -437,6 +445,8 @@ def _run_spectral(config: RunConfig) -> tuple[dict, list[str]]:
 
 def _series_walk(params: dict, seed: int) -> Callable[[int], estimators.LocalEnergySeries]:
     """walk(worker): the worker's series, read from `series` or sampled."""
+    from . import walker  # here, before the chains fork, so that no chain imports it
+
     def walk(worker: int) -> estimators.LocalEnergySeries:
         if params.get("series"):
             return read_series_csv(params["series"])
@@ -482,11 +492,13 @@ def _run_chains(params: dict, walk: Callable, analyse: Callable, write: Callable
 
 def _vmc_chain(series: estimators.LocalEnergySeries):
     """The chain's estimate, and the epsilon, steps and burn_in of the series it analysed."""
+    from . import estimators
     walked = {"epsilon": series.step, "steps": series.values.size - series.burn_in, "burn_in": series.burn_in}
     return estimators.vmc_estimate(series), walked
 
 
 def _run_vmc(config: RunConfig) -> tuple[dict, list[str]]:
+    from . import estimators
     params = config.parameters
     per_worker = _run_chains(params, _series_walk(params, config.seed), _vmc_chain, write_series_csv)
     chains = [row[0] for row in per_worker]
@@ -504,6 +516,8 @@ def _run_vmc(config: RunConfig) -> tuple[dict, list[str]]:
 
 
 def _spt_orders_chain(params: dict, series: estimators.LocalEnergySeries):
+    import numpy as np
+    from . import estimators
     integral = estimators.autocorrelation_integral(series)
     if params["tau_grid"] is not None:
         grid, source = params["tau_grid"], "tau_grid"
@@ -534,6 +548,8 @@ def _spt_orders_chain(params: dict, series: estimators.LocalEnergySeries):
 
 
 def _run_spt_orders(config: RunConfig) -> tuple[dict, list[str]]:
+    import numpy as np
+    from . import estimators
     params = config.parameters
     per_worker = _run_chains(
         params, _series_walk(params, config.seed), lambda series: _spt_orders_chain(params, series), write_series_csv
@@ -567,6 +583,8 @@ def _run_spt_orders(config: RunConfig) -> tuple[dict, list[str]]:
 
 
 def _run_rqmc(config: RunConfig) -> tuple[dict, list[str]]:
+    import numpy as np
+    from . import estimators, rqmc, walker  # here, before the chains fork, so that no chain imports them
     params = config.parameters
     trial, potential = _build_trial_potential(params)
     run_keys = ("n_beads", "epsilon", "sweeps", "burn_in_sweeps", "direction_policy",
@@ -615,6 +633,7 @@ def run(config: RunConfig) -> RunReport:
     start = time.perf_counter()
     results, human = _RUNNERS[config.subcommand](config)
     wall = time.perf_counter() - start
+    from importlib import metadata
     try:
         version = metadata.version("sptqmc")
     except metadata.PackageNotFoundError:  # running from a source tree
@@ -691,18 +710,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 # an unreadable input file (missing, a directory, not UTF-8) is a config error
 _CONFIG_ERRORS = (
     ConfigError,
-    spectral.ModelValidationError,
-    rspt.OrderCapError,
+    errors.ModelValidationError,
+    errors.OrderCapError,
     OSError,
     UnicodeDecodeError,
 )
 _COMPUTE_ERRORS = (
-    spectral.FitConditioningError,
-    spectral.DegeneracyError,
-    estimators.SeriesTooShortError,
-    estimators.WindowSelectionError,
-    estimators.NonLinearityError,
-    rspt.MissingOrderError,
+    errors.FitConditioningError,
+    errors.DegeneracyError,
+    errors.SeriesTooShortError,
+    errors.WindowSelectionError,
+    errors.NonLinearityError,
+    errors.MissingOrderError,
 )
 
 

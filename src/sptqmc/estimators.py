@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NonLinearityError, SeriesTooShortError, WindowSelectionError
+
 DEFAULT_MAX_STOCHASTIC_ORDER = 3
 _SOKAL_WINDOW = 6.0  # Sokal's window: k* is the smallest lag with k* >= _SOKAL_WINDOW * tau_int(k*)
 _MIN_LINEAR_R2 = 0.99  # a gamma_n(tau) fit below this R^2, with spread above its noise, is not linear
@@ -30,18 +32,6 @@ HIGH_ORDER_WARNING = (
     "recursion amplifies noise rapidly with order; pass allow_high_orders=True "
     "only with very long series"
 )
-
-
-class SeriesTooShortError(ValueError):
-    """The series cannot support the requested analysis."""
-
-
-class WindowSelectionError(RuntimeError):
-    """No self-consistent autocovariance truncation window exists."""
-
-
-class NonLinearityError(RuntimeError):
-    """A gamma_n(tau) fit deviates from linearity beyond tolerance."""
 
 
 @dataclass(frozen=True)

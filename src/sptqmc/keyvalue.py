@@ -22,8 +22,6 @@ import ast
 import re
 import sys
 
-import numpy as np
-
 _KINDS = {
     bool: ("true or false", lambda v: isinstance(v, bool)),
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
@@ -91,7 +89,8 @@ def typed(key: str, value, expected: type, error: type[Exception]):
     (a tuple is taken), or np.ndarray: a bracketed list that forms a finite
     float array.
     """
-    if expected is np.ndarray:
+    if expected not in _KINDS:  # np.ndarray: numpy is imported only where a model's array is built
+        import numpy as np
         items = typed(key, value, list, error)
         try:
             array = np.array(items, dtype=float)

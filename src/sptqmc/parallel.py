@@ -62,8 +62,3 @@ def fork_imap(fn, items):
             pool.shutdown(cancel_futures=True)
     finally:
         _FN = None
-
-
-def fork_map(fn, items) -> list:
-    """[fn(x) for x in items], computed as fork_imap computes them."""
-    return list(fork_imap(fn, items))

@@ -22,17 +22,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
+from .errors import MissingOrderError, OrderCapError
 from .symexpr import GExpression, GMonomial, GVar, differentiate_z, g
 
 DEFAULT_ORDER_CAP = 10
-
-
-class OrderCapError(ValueError):
-    """Requested order exceeds the configured cap."""
-
-
-class MissingOrderError(KeyError):
-    """A cumulant recursion was asked to run with incomplete lower orders."""
 
 
 @dataclass(frozen=True)

@@ -24,23 +24,12 @@ import numpy as np
 from mpmath import mp
 
 from . import keyvalue, rspt
+from .errors import DegeneracyError, FitConditioningError, ModelValidationError
 from .symexpr import GVar, evaluate
 
 SYMMETRY_TOL = 1e-12
 # an oracle coefficient must be known to this fraction of max(|c_n|, 1e-10)
 ORACLE_TOL = 1e-6
-
-
-class ModelValidationError(ValueError):
-    """The energies/wmat pair, or the builder's parameters, do not describe a valid model."""
-
-
-class FitConditioningError(RuntimeError):
-    """A polynomial fit inside an oracle is not trustworthy."""
-
-
-class DegeneracyError(RuntimeError):
-    """The ground state of H(lambda) approaches a crossing on the grid."""
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sptqmc import LocalEnergySeries, cli
+from sptqmc import LocalEnergySeries, cli, rqmc
 from sptqmc.cli import (
     CSV_CHUNK_ROWS,
     EXIT_COMPUTE,
@@ -363,13 +363,13 @@ class TestMalformedSeries:
 class TestSweepsCsv:
     def test_cli_series_out_equals_the_joined_rows(self, tmp_path, monkeypatch):
         runs = []
-        real = cli.rqmc.run_reptation
+        real = rqmc.run_reptation
 
         def capture(*args, **kwargs):
             runs.append(real(*args, **kwargs))
             return runs[-1]
 
-        monkeypatch.setattr(cli.rqmc, "run_reptation", capture)
+        monkeypatch.setattr(rqmc, "run_reptation", capture)
         cfg = tmp_path / "ho.cfg"
         series_path = tmp_path / "sweeps.csv"
         cfg.write_text(RQMC_CONFIG + f"series_out = {series_path}\n")
@@ -781,6 +781,22 @@ class TestErrorPaths:
         assert main([sub, "--config", str(cfg), "--output", str(out_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: alpha * epsilon = ")
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("case", ["small-model", "order-above-cap", "short-series"])
+    def test_exit_codes_in_a_fresh_process(self, case, tmp_path):
+        # the raising module is loaded only by the subcommand that runs it, which this process has done already
+        (tmp_path / "small.model").write_text("builder = anharmonic\nbasis_size = 10\nquartic_coupling = 0.1\n")
+        (tmp_path / "short.csv").write_text("# epsilon = 0.01\nstep,W\n" + "".join(f"{i},0.5\n" for i in range(10)))
+        (tmp_path / "vmc.cfg").write_text("series = short.csv\n")
+        argv, code, prefix = {
+            "small-model": (["spectral", "--model", "small.model", "--order", "4"], EXIT_CONFIG, "config error: basis_size"),
+            "order-above-cap": (["symbolic", "--order", "11"], EXIT_CONFIG, "config error: order 11 exceeds the cap"),
+            "short-series": (["vmc", "--config", "vmc.cfg"], EXIT_COMPUTE, "compute error: need >= 1000"),
+        }[case]
+        proc = subprocess.run([sys.executable, "-m", "sptqmc", *argv], capture_output=True, text=True, timeout=120,
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith(prefix)
 
     def test_non_string_output_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "symbolic.cfg"

@@ -62,14 +62,22 @@ def test_readme_imports_are_public():
 
 
 def test_all_is_what_init_binds():
+    """Each name in __all__ resolves to the object its home module defines, and __init__ binds no other public name."""
     tree = ast.parse(Path(sptqmc.__file__).read_text(encoding="utf-8"))
     bound = set()
     for node in tree.body:
-        if isinstance(node, ast.ImportFrom):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
             bound.update(alias.asname or alias.name for alias in node.names)
         elif isinstance(node, ast.Assign):
             bound.update(target.id for target in node.targets if isinstance(target, ast.Name))
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             bound.add(node.name)
+    assert {name for name in bound if not name.startswith("_")} == set()
     assert len(sptqmc.__all__) == len(set(sptqmc.__all__))
-    assert set(sptqmc.__all__) == {name for name in bound if not name.startswith("_")}
+    assert set(sptqmc.__all__) == set(sptqmc._HOMES)
+    for name, home in sptqmc._HOMES.items():
+        module = importlib.import_module(f"sptqmc.{home}")
+        assert getattr(sptqmc, name) is getattr(module, name)
+        assert getattr(module, name).__module__ == module.__name__
+    with pytest.raises(AttributeError):
+        getattr(sptqmc, "no_such_name")

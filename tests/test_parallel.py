@@ -1,4 +1,4 @@
-"""fork_map, and the CLI chains giving the same bytes inline and forked."""
+"""fork_imap, and the CLI chains giving the same bytes inline and forked."""
 
 import os
 import shutil
@@ -64,32 +64,32 @@ class TestForkMap:
     @pytest.mark.parametrize("path", PATHS)
     def test_keeps_item_order(self, path, on_path):
         on_path(path)
-        assert parallel.fork_map(lambda x: x * x, range(7)) == [x * x for x in range(7)]
+        assert list(parallel.fork_imap(lambda x: x * x, range(7))) == [x * x for x in range(7)]
 
     def test_one_core_runs_in_the_caller(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert parallel.fork_map(lambda _: os.getpid(), range(3)) == [os.getpid()] * 3
+        assert list(parallel.fork_imap(lambda _: os.getpid(), range(3))) == [os.getpid()] * 3
 
     @MULTICORE
     def test_two_cores_run_in_children(self):
-        assert os.getpid() not in parallel.fork_map(lambda _: os.getpid(), range(4))
+        assert os.getpid() not in list(parallel.fork_imap(lambda _: os.getpid(), range(4)))
 
     @MULTICORE
     def test_nested_map_runs_inline_in_the_child(self):
-        pids = parallel.fork_map(lambda _: parallel.fork_map(lambda _: os.getpid(), range(2)), range(2))
+        pids = list(parallel.fork_imap(lambda _: list(parallel.fork_imap(lambda _: os.getpid(), range(2))), range(2)))
         assert all(len(set(inner)) == 1 for inner in pids)
 
     @pytest.mark.parametrize("path", PATHS)
     def test_child_exception_keeps_type_and_message(self, path, on_path):
         on_path(path)
         with pytest.raises(WindowSelectionError, match="no window for item 2"):
-            parallel.fork_map(_raise_at_two, range(4))
+            list(parallel.fork_imap(_raise_at_two, range(4)))
 
     @pytest.mark.parametrize("path", PATHS)
     def test_warnings_reach_the_caller(self, path, on_path):
         on_path(path)
         with pytest.warns(UserWarning, match="the same warning"):
-            assert parallel.fork_map(_warn_then_return, range(3)) == [0, 1, 2]
+            assert list(parallel.fork_imap(_warn_then_return, range(3))) == [0, 1, 2]
 
     @pytest.mark.parametrize("path", PATHS)
     def test_warning_before_a_failure_reaches_the_caller(self, path, on_path):
@@ -97,7 +97,7 @@ class TestForkMap:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(WindowSelectionError, match="no window for item 1"):
-                parallel.fork_map(_warn_then_raise_at_one, range(2))
+                list(parallel.fork_imap(_warn_then_raise_at_one, range(2)))
         assert [str(w.message) for w in caught] == ["item 0 warns before it fails", "item 1 warns before it fails"]
 
     @pytest.mark.parametrize("path", PATHS)
@@ -105,7 +105,7 @@ class TestForkMap:
         on_path(path)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
-            parallel.fork_map(_warn_then_return, range(3))
+            list(parallel.fork_imap(_warn_then_return, range(3)))
         assert len(caught) == 1
 
 
@@ -248,7 +248,7 @@ class TestForkImap:
         for _ in parallel.fork_imap(lambda x: x, range(6)):
             break
         assert parallel._FN is None
-        assert os.getpid() not in parallel.fork_map(lambda _: os.getpid(), range(2))
+        assert os.getpid() not in list(parallel.fork_imap(lambda _: os.getpid(), range(2)))
 
     @MULTICORE
     def test_items_in_flight_are_bounded(self, tmp_path):

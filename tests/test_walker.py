@@ -1,7 +1,9 @@
 """Langevin walker: drift, local energy, propagation, and sampling laws."""
 
 import ast
+import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -498,3 +500,62 @@ class TestImportCost:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    # each entry loads only what it runs; every probe below runs in a fresh interpreter
+
+    def test_import_loads_no_numpy_or_mpmath(self):
+        assert _last_json("import sptqmc, sptqmc.cli" + _PRINT_LOADED.format(["numpy", "mpmath"])) == [False, False]
+
+    def test_symbolic_runs_without_numpy_or_mpmath(self):
+        code = "from sptqmc.cli import main\nassert main(['symbolic', '--order', '4', '--sum-over-states']) == 0"
+        assert _last_json(code + _PRINT_LOADED.format(["numpy", "mpmath"])) == [False, False]
+
+    @pytest.mark.parametrize("sub", ["vmc", "rqmc"])
+    def test_chains_load_no_mpmath_or_spectral(self, sub, tmp_path):
+        (tmp_path / "run.cfg").write_text(_CHAIN_KEYS[sub])
+        code = f"from sptqmc.cli import main\nassert main([{sub!r}, '--config', 'run.cfg']) == 0"
+        assert _last_json(code + _PRINT_LOADED.format(["mpmath", "sptqmc.spectral"]), tmp_path) == [False, False]
+
+    def test_spectral_loads_no_sampler(self, tmp_path):
+        (tmp_path / "bw.model").write_text("builder = anharmonic\nbasis_size = 20\nquartic_coupling = 0.1\n")
+        argv = ["spectral", "--model", "bw.model", "--order", "4", "--oracle"]
+        code = f"from sptqmc.cli import main\nassert main({argv!r}) == 0"
+        assert _last_json(code + _PRINT_LOADED.format(["sptqmc.rqmc", "sptqmc.walker"]), tmp_path) == [False, False]
+
+    @pytest.mark.parametrize(
+        "sub, modules",
+        [
+            ("vmc", ["numpy", "sptqmc.estimators", "sptqmc.walker"]),
+            ("spt-orders", ["numpy", "sptqmc.estimators", "sptqmc.walker"]),
+            ("rqmc", ["numpy", "sptqmc.estimators", "sptqmc.rqmc", "sptqmc.walker"]),
+        ],
+    )
+    def test_chain_modules_load_before_the_fork(self, sub, modules, tmp_path):
+        # a chain that imported them would import them again in every forked process
+        (tmp_path / "run.cfg").write_text(_CHAIN_KEYS[sub] + "workers = 2\n")
+        code = (
+            "import json, sys\nfrom sptqmc import cli\nplain, seen = cli.fork_imap, []\n\n"
+            "def recording(fn, items):\n"
+            f"    seen.append([name in sys.modules for name in {modules!r}])\n"
+            "    return plain(fn, items)\n\n"
+            f"cli.fork_imap = recording\nassert cli.main([{sub!r}, '--config', 'run.cfg']) == 0\n"
+            "print(json.dumps(seen))"
+        )
+        assert _last_json(code, tmp_path) == [[True] * len(modules)]
+
+
+_PRINT_LOADED = "\nimport json, sys\nprint(json.dumps([name in sys.modules for name in {!r}]))"
+_WALK_KEYS = "alpha = 1.2\nepsilon = 0.05\nsteps = 20000\nburn_in = 500\n"
+_CHAIN_KEYS = {
+    "vmc": _WALK_KEYS,
+    "spt-orders": _WALK_KEYS + "max_order = 2\n",
+    "rqmc": "alpha = 1.2\nepsilon = 0.05\nn_beads = 20\nsweeps = 50\nburn_in_sweeps = 5\nequilibration_steps = 200\n",
+}
+
+
+def _last_json(code: str, cwd=None):
+    """The JSON value on the last stdout line of code, run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
