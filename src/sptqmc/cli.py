@@ -54,15 +54,10 @@ class RunConfig:
 
 @dataclass
 class RunReport:
-    """In-memory run record; `report` is the serializable payload.
-
-    The run's wall time is carried on the object but kept out of the
-    serialized report so reruns stay byte-identical.
-    """
+    """In-memory run record; `report` is the serializable payload."""
 
     report: dict
     human: list[str] = field(default_factory=list)
-    wall_time: float = 0.0
 
     def to_json(self) -> str:
         # numpy arrays and scalars become plain values; np.float64 is a float and keeps its digits
@@ -108,7 +103,7 @@ _WALKER_KEYS = {
     "potential": _Key(str, next(iter(_POTENTIALS)), _POTENTIALS, "unknown potential '{value}'{hint}"),
     "quartic_coupling": _Key(float, 0.0, *_NOT_BELOW_ZERO),
     "barrier": _Key(float, 1.0),
-    "half_separation": _Key(float, 1.0),
+    "half_separation": _Key(float, 1.0, *_ABOVE_ZERO),
     "epsilon": _Key(float, _NEEDED, *_ABOVE_ZERO),
 }
 
@@ -143,8 +138,8 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
     "rqmc": {
         **_WALKER_KEYS,
         "n_beads": _Key(int, _NEEDED, lambda value: value >= 2, "n_beads must be at least 2, got {value!r}"),
-        "sweeps": _Key(int, _NEEDED, *_ABOVE_ZERO),
-        "burn_in_sweeps": _Key(int),
+        "sweeps": _Key(int, _NEEDED, lambda value: value >= 2, "sweeps must be at least 2, got {value!r}"),
+        "burn_in_sweeps": _Key(int, None, *_NOT_BELOW_ZERO),
         "direction_policy": _Key(
             str, "bounce", ("bounce", "random"), "direction_policy must be bounce or random, got '{value}'"
         ),
@@ -630,9 +625,7 @@ _RUNNERS = {
 
 def run(config: RunConfig) -> RunReport:
     """Execute a validated config and assemble the run report."""
-    start = time.perf_counter()
     results, human = _RUNNERS[config.subcommand](config)
-    wall = time.perf_counter() - start
     from importlib import metadata
     try:
         version = metadata.version("sptqmc")
@@ -646,7 +639,7 @@ def run(config: RunConfig) -> RunReport:
         "config": config.parameters,
         "results": results,
     }
-    return RunReport(report=report, human=human, wall_time=wall)
+    return RunReport(report=report, human=human)
 
 
 # ---------------------------------------------------------------------------

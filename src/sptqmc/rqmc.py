@@ -13,13 +13,13 @@ Energy comes from the two end beads by head-tail symmetry of the path
 distribution; general observables come from the middle bead, where both
 path halves act as projectors.
 
-ReptationSampler.for_system decides how beads are stored.  Where
-walker.scalar_langevin applies (a 1-d GaussianTrial in a built-in
-potential, every system the command line builds) they are Python floats,
-moved by its float closures; every other system, and the proposal
-correction, keeps shape-(d,) numpy beads on walker.langevin_kernel.
-Both draw the same random stream and round alike, and one move loop runs
-both.  Observables always see a shape-(d,) array.
+ReptationSampler.for_system stores beads in the form that
+walker.langevin_kernel gives them: Python floats for a 1-d GaussianTrial
+in a built-in potential (every system the command line builds, with or
+without the proposal correction), shape-(d,) numpy arrays otherwise.
+One move loop runs both through the kernel's step(bead, z), and both
+draw the same random stream and round alike.  Observables always see a
+shape-(d,) array.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -40,7 +41,6 @@ from .walker import (
     langevin_walk,
     local_energy,
     log_transition_density,
-    scalar_langevin,
     start_position,
 )
 
@@ -146,19 +146,19 @@ def init_reptile(
 class ReptationSampler:
     """Creep-move Metropolis kernel over a single reptile.
 
-    The kernel is defined by two callables, w_fn(bead) -> W as a float
-    and propose_fn(rng, bead) -> new bead, so the identical move loop
-    drives both production runs (Langevin proposals off trial
-    wavefunctions) and the discretized toy used by the exact stationary
-    distribution check.  Float beads from for_system take a float
-    step(x, z) with z = rng.standard_normal() in place of propose_fn.
+    The kernel is defined by w_fn(bead) -> W as a float and
+    step(bead, draw()) -> new bead, so the identical move loop drives both
+    production runs (Langevin steps off trial wavefunctions, draw giving
+    the standard normals of a bead) and the discretized toy used by the
+    exact stationary distribution check (draw giving the rng itself).
     """
 
     def __init__(
         self,
         reptile: Reptile,
         w_fn: Callable,
-        propose_fn: Callable,
+        step: Callable,
+        draw: Callable,
         rng: np.random.Generator,
         *,
         direction_policy: str = "bounce",
@@ -168,13 +168,13 @@ class ReptationSampler:
             raise ValueError(f"unknown direction policy '{direction_policy}'")
         self.reptile = reptile
         self.w_fn = w_fn
-        self.propose_fn = propose_fn
+        self.step = step
+        self.draw = draw
         self.rng = rng
         self.direction_policy = direction_policy
         self.correction_trial = correction_trial
         self.moves_proposed = 0
         self.moves_accepted = 0
-        self._step = None  # step(x, z) of float beads; propose_fn(rng, bead) otherwise
 
     @classmethod
     def for_system(
@@ -189,29 +189,18 @@ class ReptationSampler:
     ) -> "ReptationSampler":
         """Langevin creep kernel for a trial and potential; takes over the reptile.
 
-        Where walker.scalar_langevin applies, the reptile's beads become
-        floats, stepped by its closures.  Other systems keep numpy beads,
-        and so does the proposal correction, whose trial.log_value needs
-        a trailing axis.
+        The reptile's beads take the form walker.langevin_kernel gives
+        them: floats where its float closures apply, numpy beads, whose
+        shape sizes the draws, otherwise.
         """
-        scalar = None if proposal_correction else scalar_langevin(trial, potential, reptile.epsilon)
-        if scalar is None:
-            w_fn, propose_fn = langevin_kernel(trial, potential, reptile.epsilon)
-            step = None
-        else:
-            w_fn, step = scalar
-            propose_fn = None
+        w_fn, step, floats = langevin_kernel(trial, potential, reptile.epsilon)
+        if floats:
             reptile.beads = deque(np.asarray(b, dtype=float).item() for b in reptile.beads)
-        sampler = cls(
-            reptile,
-            w_fn,
-            propose_fn,
-            rng,
-            direction_policy=direction_policy,
-            correction_trial=trial if proposal_correction else None,
-        )
-        sampler._step = step
-        return sampler
+            draw = rng.standard_normal
+        else:
+            draw = partial(rng.standard_normal, np.shape(reptile.head))
+        correction_trial = trial if proposal_correction else None
+        return cls(reptile, w_fn, step, draw, rng, direction_policy=direction_policy, correction_trial=correction_trial)
 
     @classmethod
     def from_functions(
@@ -227,7 +216,9 @@ class ReptationSampler:
         """Sampler over arbitrary states (used by the discrete toy oracle)."""
         beads = list(beads)
         reptile = Reptile(beads, [float(w_fn(b)) for b in beads], epsilon)
-        return cls(reptile, w_fn, propose_fn, rng, direction_policy=direction_policy)
+        return cls(
+            reptile, w_fn, lambda bead, r: propose_fn(r, bead), lambda: rng, rng, direction_policy=direction_policy
+        )
 
     @property
     def acceptance_rate(self) -> float:
@@ -254,6 +245,7 @@ class ReptationSampler:
             a, b = self.reptile.beads[1], self.reptile.beads[0]
         else:
             a, b = new_bead, self.reptile.beads[0]
+        a, b = np.atleast_1d(a), np.atleast_1d(b)  # trial.log_value needs the trailing axis a float bead lacks
         return (
             2.0 * float(trial.log_value(a) - trial.log_value(b))
             + log_transition_density(trial, eps, a, b)
@@ -265,9 +257,8 @@ class ReptationSampler:
         r = self.reptile
         beads, ws = r.beads, r.w_values
         half_eps = 0.5 * r.epsilon
-        w_fn, propose, step = self.w_fn, self.propose_fn, self._step
-        rng = self.rng
-        normal, uniform, exp = rng.standard_normal, rng.random, math.exp
+        w_fn, step, draw = self.w_fn, self.step, self.draw
+        uniform, exp = self.rng.random, math.exp
         redraw = self.direction_policy == "random"
         correct = self.correction_trial is not None
         direction, action, accepted = r.direction, r.total_action, 0
@@ -279,7 +270,7 @@ class ReptationSampler:
                 end, w_end, w_a, w_b = beads[-1], ws[-1], ws[0], ws[1]
             else:
                 end, w_end, w_a, w_b = beads[0], ws[0], ws[-2], ws[-1]
-            new = propose(rng, end) if step is None else step(end, normal())
+            new = step(end, draw())
             w_new = w_fn(new)
             # link_action(new link) - link_action(removed link), with link_action's rounding
             delta = half_eps * (w_end + w_new) - half_eps * (w_a + w_b)

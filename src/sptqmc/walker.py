@@ -12,15 +12,14 @@ potential callables accept batched positions of shape (..., d) and
 return values of shape (...,), so whole trajectories evaluate in one
 vectorized pass.
 
-The Langevin proposal is decided here: proposal_mean is its mean.
-scalar_langevin gives W and one step as float closures for a 1-d
-Gaussian trial in a built-in potential; the reptation sampler moves its
-beads as Python floats on them.  langevin_kernel hands per-step loops
-over position arrays (langevin_walk, the creep kernel of every other
-system) closures for W and one step, on scalar_langevin's float math
-where it applies and on numpy otherwise.  langevin_walk is the one walk
-loop and start_position its one start rule; the series sampler and
-rqmc.init_reptile both walk on them.
+The Langevin proposal is decided here: proposal_mean is its mean, and
+langevin_kernel gives every per-step loop (langevin_walk, the creep
+kernel) W and one step(bead, z) with z = rng.standard_normal(size), and
+the form of a bead: a Python float on scalar_langevin's float closures
+where they apply (a 1-d Gaussian trial in a built-in potential), a numpy
+array otherwise.  Both forms draw the same stream and round alike.
+langevin_walk is the one walk loop and start_position its one start
+rule; the series sampler and rqmc.init_reptile both walk on them.
 """
 
 from __future__ import annotations
@@ -211,37 +210,30 @@ def scalar_langevin(trial, potential, epsilon: float):
 
 
 def langevin_kernel(trial, potential, epsilon: float):
-    """Closures (w, propose) for per-step loops over single positions.
+    """Closures (w, step) for per-step loops over single beads, and the bead form.
 
-    w(pos) is the local energy at a position array as a float, and
-    propose(rng, pos) the next position of one Langevin step out of pos.
-    Systems that scalar_langevin accepts run on its float closures with
-    shape-(1,) positions; every other trial and potential runs numpy.
-    Both draw the same random stream and round identically.
+    w(bead) is the local energy at a bead as a float, and step(bead, z)
+    the bead after one Langevin step driven by z = rng.standard_normal(size)
+    of the bead's shape.  Where scalar_langevin applies, floats is True:
+    beads are Python floats on its closures, and size is None.  Every
+    other trial and potential keeps numpy beads; there 0.0 + sqrt(eps) z
+    is the noise that rng.normal(0.0, sqrt(eps), size) draws, bit for bit.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     scalar = scalar_langevin(trial, potential, epsilon)
     if scalar is not None:
-        w_scalar, step = scalar
-
-        def w(pos):
-            return w_scalar(pos.item())
-
-        def propose(rng, pos):
-            return np.array((step(pos.item(), rng.standard_normal()),))
-
-        return w, propose
+        return *scalar, True
 
     sqrt_eps = math.sqrt(epsilon)
 
     def w(pos):
         return float(local_energy(trial, potential, pos))
 
-    def propose(rng, pos):
-        return proposal_mean(trial, epsilon, pos) + rng.normal(0.0, sqrt_eps, size=pos.shape)
+    def step(pos, z):
+        return proposal_mean(trial, epsilon, pos) + (0.0 + sqrt_eps * z)
 
-    return w, propose
+    return w, step, False
 
 
 def log_transition_density(trial, epsilon: float, r_from: np.ndarray, r_to: np.ndarray) -> float:
@@ -283,11 +275,12 @@ def start_position(trial, rng: np.random.Generator) -> np.ndarray:
 
 def langevin_walk(trial, potential, epsilon: float, steps: int, rng, start, keep: int | None = None) -> np.ndarray:
     """The positions after each of `steps` Langevin steps out of start, one row per step (the last keep rows if given)."""
-    _, propose = langevin_kernel(trial, potential, epsilon)
+    _, step, floats = langevin_kernel(trial, potential, epsilon)
     trajectory = np.empty((steps if keep is None else min(keep, steps), len(start)))
-    x = start
+    x, size = (start.item(), None) if floats else (start, start.shape)
+    normal = rng.standard_normal
     for i in range(len(trajectory) - steps, len(trajectory)):  # steps before row 0 are walked, not stored
-        x = propose(rng, x)
+        x = step(x, normal(size))
         if i >= 0:
             trajectory[i] = x
     return trajectory

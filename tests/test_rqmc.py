@@ -34,7 +34,7 @@ from sptqmc.rqmc import (
     link_action,
 )
 from sptqmc.walker import derive_rng, drift, local_energy
-from walker_reference import init_walker, langevin_step
+from walker_reference import init_walker, langevin_step, wrap_generic
 
 ALPHA = 1.2
 
@@ -606,6 +606,26 @@ class TestScalarKernel:
         assert 0 < fast.moves_accepted < fast.moves_proposed
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("policy", ["bounce", "random"])
+    def test_corrected_float_beads_match_numpy_kernel(self, policy):
+        # the proposal correction runs on float beads, move for move as on numpy beads
+        trial, pot = KERNEL_SYSTEMS["quartic"]
+        eps = 0.1
+        start = init_reptile(trial, pot, 30, eps, derive_rng(26, "beads"), equilibration_steps=200)
+        samplers = []
+        for system_trial in (trial, wrap_generic(trial)):
+            r = Reptile([b.copy() for b in start.beads], list(start.w_values), eps)
+            samplers.append(ReptationSampler.for_system(
+                system_trial, pot, r, derive_rng(27, policy), direction_policy=policy, proposal_correction=True,
+            ))
+        fast, ref = samplers
+        for _ in range(3000):
+            assert fast.move() == ref.move()
+        assert all(type(bead) is float for bead in fast.reptile.beads)
+        assert all(bead.shape == (1,) for bead in ref.reptile.beads)
+        assert sampler_state(fast) == sampler_state(ref)
+        assert 0 < fast.moves_accepted < fast.moves_proposed
+
     def test_for_system_takes_scalar_path(self, monkeypatch):
         trial, pot = KERNEL_SYSTEMS["quartic"]
         rng = derive_rng(24, "path")
@@ -714,9 +734,9 @@ class TestMoveLoop:
         assert all(type(bead) is float for bead in sampler.reptile.beads)
         assert sampler.reptile.audit_links(lambda b: float(local_energy(trial, pot, np.atleast_1d(b)))) == 0.0
 
-    def test_correction_and_other_systems_keep_arrays(self):
+    def test_other_systems_keep_arrays(self):
         trial, pot = KERNEL_SYSTEMS["quartic"]
-        systems = [(trial, pot, True), (GaussianTrial(1.2, dim=2), pot, False)]
+        systems = [(wrap_generic(trial), pot, True), (GaussianTrial(1.2, dim=2), pot, False)]
         for trial, pot, corrected in systems:
             rng = derive_rng(43, "arrays")
             r = init_reptile(trial, pot, 20, 0.05, rng, 50)

@@ -29,17 +29,7 @@ from sptqmc.walker import (
     sample_local_energy_series,
     scalar_langevin,
 )
-from walker_reference import auxiliary_potential, init_walker, langevin_step
-
-
-def wrap_generic(trial: GaussianTrial) -> CallableTrial:
-    """Same trial, but hidden from the fast-path type check."""
-    return CallableTrial(
-        log_value=trial.log_value,
-        gradient_log=trial.gradient_log,
-        laplacian_log=trial.laplacian_log,
-        dim=trial.dim,
-    )
+from walker_reference import auxiliary_potential, init_walker, langevin_step, wrap_generic
 
 
 class TestDrift:
@@ -439,24 +429,28 @@ class TestBatchRounding:
 class TestLangevinKernel:
     @pytest.mark.parametrize("trial, pot", SCALAR_SYSTEMS, ids=["harmonic", "quartic", "doublewell"])
     def test_scalar_and_numpy_paths_agree(self, trial, pot):
-        w_fast, propose_fast = langevin_kernel(trial, pot, 0.05)
-        w_ref, propose_ref = langevin_kernel(wrap_generic(trial), pot, 0.05)
+        w_fast, step_fast, floats = langevin_kernel(trial, pot, 0.05)
+        w_ref, step_ref, ref_floats = langevin_kernel(wrap_generic(trial), pot, 0.05)
+        assert floats and not ref_floats
         rng, ref_rng = derive_rng(5, "kernel"), derive_rng(5, "kernel")
-        x = y = np.array([0.3])
+        x, y = 0.3, np.array([0.3])
         for _ in range(500):
-            x, y = propose_fast(rng, x), propose_ref(ref_rng, y)
-            assert x.shape == (1,)
-            assert np.array_equal(x, y)
+            x, y = step_fast(x, rng.standard_normal()), step_ref(y, ref_rng.standard_normal(y.shape))
+            assert type(x) is float and y.shape == (1,)
+            assert x == y[0]
             assert w_fast(x) == w_ref(y)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    def test_numpy_propose_is_mean_plus_noise(self):
+    def test_numpy_step_is_mean_plus_noise(self):
         trial = GaussianTrial(0.8, dim=2)
-        _, propose = langevin_kernel(trial, HarmonicPotential(), 0.1)
+        _, step, floats = langevin_kernel(trial, HarmonicPotential(), 0.1)
+        assert not floats
         pos = np.array([0.5, -1.0])
-        got = propose(derive_rng(6, "p"), pos)
-        noise = derive_rng(6, "p").normal(0.0, math.sqrt(0.1), size=2)
+        rng, ref_rng = derive_rng(6, "p"), derive_rng(6, "p")
+        got = step(pos, rng.standard_normal(pos.shape))
+        noise = ref_rng.normal(0.0, math.sqrt(0.1), size=2)
         assert np.array_equal(got, proposal_mean(trial, 0.1, pos) + noise)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
