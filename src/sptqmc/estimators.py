@@ -26,6 +26,7 @@ from .errors import NonLinearityError, SeriesTooShortError, WindowSelectionError
 
 DEFAULT_MAX_STOCHASTIC_ORDER = 3
 _SOKAL_WINDOW = 6.0  # Sokal's window: k* is the smallest lag with k* >= _SOKAL_WINDOW * tau_int(k*)
+_N_BATCHES = 16  # contiguous batches behind the error bars of the integral and the moments
 _MIN_LINEAR_R2 = 0.99  # a gamma_n(tau) fit below this R^2, with spread above its noise, is not linear
 HIGH_ORDER_WARNING = (
     "stochastic orders above 3 are ill conditioned: the cumulant-from-moment "
@@ -222,11 +223,7 @@ def autocovariance(values: np.ndarray, max_lag: int, mean: float | None = None) 
     return acov / n
 
 
-def autocorrelation_integral(
-    series: LocalEnergySeries,
-    *,
-    n_batches: int = 16,
-) -> EstimateWithError:
+def autocorrelation_integral(series: LocalEnergySeries) -> EstimateWithError:
     """Second-order correction from the local-energy autocovariance.
 
     epsilon_2-hat = -eps * (c(0)/2 + sum_{k=1..k*} c(k)), the trapezoidal
@@ -245,7 +242,7 @@ def autocorrelation_integral(
     eps = series.step
     total = float(-eps * (0.5 * c[0] + np.sum(c[1:])))
 
-    batches = n_batches
+    batches = _N_BATCHES
     while batches > 2 and n // batches < 8 * max(kstar, 1):
         batches //= 2
     if batches < 2 or n // batches <= kstar + 1:
@@ -275,8 +272,6 @@ def action_moments(
     series: LocalEnergySeries,
     tau_grid,
     max_order: int = DEFAULT_MAX_STOCHASTIC_ORDER,
-    *,
-    n_batches: int = 16,
 ) -> ActionMoments:
     """Moments of the windowed action S(tau) over all sliding windows.
 
@@ -312,19 +307,19 @@ def action_moments(
     grid = len(widths)
     lam = np.empty((grid, max_order + 1))
     errors = np.zeros((grid, max_order + 1))
-    batch_lambdas = np.empty((n_batches, grid, max_order + 1))
+    batch_lambdas = np.empty((_N_BATCHES, grid, max_order + 1))
     lam[:, 0] = 1.0
     batch_lambdas[:, :, 0] = 1.0
 
     for gi, w in enumerate(widths):
         starts = n - w  # windows [j, j+w] for j = 0..n-w-1
-        if starts < n_batches:
+        if starts < _N_BATCHES:
             raise SeriesTooShortError(
-                f"only {starts} windows at tau={w * eps}; need >= {n_batches}"
+                f"only {starts} windows at tau={w * eps}; need >= {_N_BATCHES}"
             )
         actions = eps * (prefix[w + 1 :] - prefix[: starts] - 0.5 * x[:starts] - 0.5 * x[w:])
         powers = np.ones_like(actions)
-        bounds = np.linspace(0, starts, n_batches + 1).astype(int)
+        bounds = np.linspace(0, starts, _N_BATCHES + 1).astype(int)
         for order in range(1, max_order + 1):
             powers = powers * actions
             fact = math.factorial(order)
@@ -333,7 +328,7 @@ def action_moments(
                 powers[a:b].mean() / fact for a, b in zip(bounds[:-1], bounds[1:])
             ])
             batch_lambdas[:, gi, order] = per_batch
-            errors[gi, order] = per_batch.std(ddof=1) / math.sqrt(n_batches)
+            errors[gi, order] = per_batch.std(ddof=1) / math.sqrt(_N_BATCHES)
 
     realized = np.array([w * eps for w in widths])
     return ActionMoments(

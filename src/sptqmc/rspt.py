@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .errors import MissingOrderError, OrderCapError
-from .symexpr import GExpression, GMonomial, GVar, differentiate_z, g
+from .symexpr import GExpression, GMonomial, differentiate_z, g
 
 DEFAULT_ORDER_CAP = 10
 
@@ -40,54 +40,38 @@ class PTOrderResult:
     epsilon: GExpression
 
 
+@lru_cache(maxsize=None)
 def ordinary_bell(n: int, l: int) -> GExpression:
     """Ordinary Bell polynomial B_{n,l}(g_1, ..., g_{n-l+1}).
 
-    Sum over exponent arrays (j_1, ..., j_{n-l+1}) with sum(j) = l and
-    sum(k j_k) = n of multinomial(l; j) * prod g_k^{j_k}.
+    The coefficient of x^n in (sum_k g_k x^k)^l.  Splitting off one factor
+    of the power gives B_{n,1} = g_n and the convolution
+    B_{n,l} = sum_{k=1}^{n-l+1} g_k B_{n-k,l-1}.
     """
     if l < 1 or l > n:
         raise ValueError(f"ordinary_bell requires 1 <= l <= n, got n={n}, l={l}")
-    terms: dict[GMonomial, Fraction] = {}
-    # bounded knapsack over parts k = 1..n-l+1
-    def descend(k: int, parts_left: int, weight_left: int, factors: dict[GVar, int], denom: int) -> None:
-        if parts_left == 0:
-            if weight_left == 0:
-                mono = GMonomial(factors)
-                coeff = Fraction(math.factorial(l), denom)
-                terms[mono] = terms.get(mono, Fraction(0)) + coeff
-            return
-        if k > n - l + 1 or weight_left < parts_left:
-            return
-        max_j = min(parts_left, weight_left // k)
-        for j in range(max_j + 1):
-            if j:
-                factors[GVar(k)] = j
-            descend(k + 1, parts_left - j, weight_left - k * j, factors, denom * math.factorial(j))
-            if j:
-                del factors[GVar(k)]
-
-    descend(1, l, n, {}, 1)
-    return GExpression(terms)
-
-
-def _derivatives(expr: GExpression, count: int) -> GExpression:
-    for _ in range(count):
-        expr = differentiate_z(expr)
-    return expr
+    if l == 1:
+        return g(n)
+    return sum((g(k) * ordinary_bell(n - k, l - 1) for k in range(1, n - l + 2)), GExpression())
 
 
 @lru_cache(maxsize=None)
 def lambda_naughts(n: int) -> tuple[GExpression, GExpression]:
-    """Moment coefficients (lambda_n, lambda-dot_n) as exact expressions."""
+    """Moment coefficients (lambda_n, lambda-dot_n) as exact expressions.
+
+    One derivative chain per Bell polynomial: l-1 z-derivatives of B_{n,l}
+    feed lambda-dot_n, and one more feeds lambda_n.
+    """
     if n < 1:
         raise ValueError(f"lambda_naughts requires n >= 1, got {n}")
     lam = GExpression()
     lamdot = GExpression()
     for l in range(1, n + 1):
-        bell = ordinary_bell(n, l)
-        lam = lam + Fraction(1, math.factorial(l)) * _derivatives(bell, l)
-        lamdot = lamdot + Fraction(1, math.factorial(l - 1)) * _derivatives(bell, l - 1)
+        deriv = ordinary_bell(n, l)
+        for _ in range(l - 1):
+            deriv = differentiate_z(deriv)
+        lamdot = lamdot + Fraction(1, math.factorial(l - 1)) * deriv
+        lam = lam + Fraction(1, math.factorial(l)) * differentiate_z(deriv)
     return lam, lamdot
 
 

@@ -183,7 +183,6 @@ def laurent_oracle(
     *,
     dps: int = 50,
     scale: float = 0.002,
-    max_residual: float = 1e-10,
 ) -> tuple[float, float]:
     """Coefficients of z^1 and z^0 of G_n(z), by literal summation and fit.
 
@@ -195,7 +194,7 @@ def laurent_oracle(
 
     The grid spans scale * E_1, far inside the first pole at z = -E_1;
     raising scale toward 1 degrades the polynomial truncation and trips
-    the conditioning check.
+    the conditioning check, a fit residual above 1e-10 of the largest value.
     """
     if n < 1:
         raise ValueError(f"laurent_oracle requires n >= 1, got {n}")
@@ -227,7 +226,7 @@ def laurent_oracle(
         # fit in u = z/zmax to keep the Vandermonde well conditioned
         coeffs, resid, _ = _mp_polyfit([z / zmax for z in zs], values, degree)
         floor = max(abs(v) for v in values) or mp.mpf(1)
-        if resid / floor > max_residual:
+        if resid / floor > 1e-10:
             raise FitConditioningError(
                 f"Laurent fit residual {float(resid / floor):.3e} at n={n}; "
                 "z-grid too coarse or too close to the first pole"
@@ -366,27 +365,18 @@ def ground_state_energy(model: SpectralModel, coupling: float = 1.0) -> float:
 def random_model(
     seed: int | np.random.Generator,
     dim: int = 8,
-    energy_range: tuple[float, float] = (0.5, 3.0),
     coupling_scale: float = 0.3,
-    min_gap: float = 0.3,
 ) -> SpectralModel:
     """Seeded random model for oracle-equivalence sweeps.
 
-    Excited energies uniform in energy_range, sorted; couplings uniform
-    in [-coupling_scale, coupling_scale], symmetrized.  Draws whose
-    ground gap falls below min_gap are rejected to keep the Taylor
-    oracle well conditioned.
+    Excited energies uniform in [0.5, 3.0], sorted, so a ground gap of
+    at least 0.5 keeps the Taylor oracle well conditioned; couplings
+    uniform in [-coupling_scale, coupling_scale], symmetrized.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    for _ in range(1000):
-        excited = np.sort(rng.uniform(*energy_range, size=dim - 1))
-        if excited[0] < min_gap:
-            continue
-        energies = np.concatenate([[0.0], excited])
-        raw = rng.uniform(-coupling_scale, coupling_scale, size=(dim, dim))
-        wmat = 0.5 * (raw + raw.T)
-        return SpectralModel(energies=energies, wmat=wmat)
-    raise RuntimeError("could not draw a model satisfying the gap guard")
+    excited = np.sort(rng.uniform(0.5, 3.0, size=dim - 1))
+    raw = rng.uniform(-coupling_scale, coupling_scale, size=(dim, dim))
+    return SpectralModel(energies=np.concatenate([[0.0], excited]), wmat=0.5 * (raw + raw.T))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ The variable g_1 is z-independent, so its formal derivatives vanish;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from operator import itemgetter
+from typing import Union
 
 RationalLike = Union[Fraction, int]
 
@@ -23,31 +24,38 @@ class UnboundVariableError(KeyError):
     """Raised by evaluate() when a variable has no binding."""
 
 
-@dataclass(frozen=True, order=True)
-class GVar:
-    """Formal variable g_m^(k); ordered lexicographically by (order, deriv)."""
+class GVar(tuple):
+    """Formal variable g_m^(k), the pair (order, deriv); ordered as that tuple."""
 
-    order: int
-    deriv: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"GVar order must be >= 1, got {self.order}")
-        if self.deriv < 0:
-            raise ValueError(f"GVar deriv must be >= 0, got {self.deriv}")
+    def __new__(cls, order: int, deriv: int = 0) -> "GVar":
+        if order < 1:
+            raise ValueError(f"GVar order must be >= 1, got {order}")
+        if deriv < 0:
+            raise ValueError(f"GVar deriv must be >= 0, got {deriv}")
+        return tuple.__new__(cls, (order, deriv))
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
+
+    order = property(itemgetter(0))
+    deriv = property(itemgetter(1))
 
     def __str__(self) -> str:
-        if self.deriv:
-            return f"g{self.order}^({self.deriv})"
-        return f"g{self.order}"
+        order, deriv = self
+        return f"g{order}^({deriv})" if deriv else f"g{order}"
+
+    def __repr__(self) -> str:
+        return f"GVar(order={self.order}, deriv={self.deriv})"
 
 
-class GMonomial:
-    """Product of GVar powers in canonical (sorted, no zero exponent) form."""
+class GMonomial(tuple):
+    """Product of GVar powers: (GVar, exponent) pairs, sorted, no zero exponent."""
 
-    __slots__ = ("_factors",)
+    __slots__ = ()
 
-    def __init__(self, factors: Mapping[GVar, int] | Iterable[tuple[GVar, int]] = ()):
+    def __new__(cls, factors: Mapping[GVar, int] | Iterable[tuple[GVar, int]] = ()) -> "GMonomial":
         items = factors.items() if isinstance(factors, Mapping) else factors
         merged: dict[GVar, int] = {}
         for var, exp in items:
@@ -57,56 +65,34 @@ class GMonomial:
                 raise ValueError(f"negative exponent {exp} for {var}")
             if exp:
                 merged[var] = merged.get(var, 0) + exp
-        # canonical key: factors sorted by the GVar total order
-        object.__setattr__(self, "_factors", tuple(sorted(merged.items())))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("GMonomial is immutable")
+        return tuple.__new__(cls, sorted(merged.items()))
 
     @property
     def factors(self) -> tuple[tuple[GVar, int], ...]:
-        return self._factors
+        return tuple(self)
 
     def degree(self) -> int:
         """Total degree, the sum of exponents."""
-        return sum(e for _, e in self._factors)
+        return sum(e for _, e in self)
 
     def weight(self) -> int:
         """Perturbative order, the sum of (variable order) * exponent."""
-        return sum(v.order * e for v, e in self._factors)
+        return sum(v.order * e for v, e in self)
 
     def __mul__(self, other: "GMonomial") -> "GMonomial":
-        return GMonomial(self._factors + other._factors)
+        return GMonomial(tuple.__add__(self, other))
 
     def sort_key(self) -> tuple:
         """Graded lexicographic key: (total degree, sorted variable list)."""
-        return (self.degree(), tuple((v.order, v.deriv, e) for v, e in self._factors))
-
-    def __iter__(self) -> Iterator[tuple[GVar, int]]:
-        return iter(self._factors)
-
-    def __len__(self) -> int:
-        return len(self._factors)
-
-    def __hash__(self) -> int:
-        return hash(self._factors)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GMonomial) and self._factors == other._factors
+        return (self.degree(), tuple((*v, e) for v, e in self))
 
     def __str__(self) -> str:
-        if not self._factors:
+        if not self:
             return "1"
-        parts = []
-        for var, exp in self._factors:
-            text = str(var)
-            if exp > 1:
-                text += f"^{exp}"
-            parts.append(text)
-        return " ".join(parts)
+        return " ".join(f"{var}^{exp}" if exp > 1 else str(var) for var, exp in self)
 
     def __repr__(self) -> str:
-        return f"GMonomial({self._factors!r})"
+        return f"GMonomial({tuple(self)!r})"
 
 
 _ONE = GMonomial()
@@ -133,6 +119,9 @@ class GExpression:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("GExpression is immutable")
+
+    def __reduce__(self):
+        return GExpression, (self._terms,)
 
     @classmethod
     def zero(cls) -> "GExpression":
@@ -262,11 +251,10 @@ def differentiate_z(expr: GExpression) -> GExpression:
     """Formal d/dz: g_m^(k) -> g_m^(k+1), with g_1 treated as constant."""
     out: dict[GMonomial, Fraction] = {}
     for mono, coeff in expr._terms.items():
-        factors = mono.factors
-        for var, exp in factors:
+        for var, exp in mono:
             if var.order == 1:
                 continue
-            bumped = dict(factors)
+            bumped = dict(mono)
             bumped[var] = exp - 1  # GMonomial drops a zero exponent
             up = GVar(var.order, var.deriv + 1)
             bumped[up] = bumped.get(up, 0) + 1

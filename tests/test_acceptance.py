@@ -6,7 +6,9 @@ Each test enforces its stated tolerance and prints a single
 pass/fail verdicts.
 """
 
+import hashlib
 import itertools
+import json
 import math
 import time
 from fractions import Fraction
@@ -138,6 +140,22 @@ def test_criterion_01_symbolic_goldens():
         f"orders 1..6 match the goldens monomial by monomial "
         f"({elapsed_6:.2f} s); order 8 generated in {elapsed_8:.2f} s",
     )
+
+
+# sha256 of the `results` of `spt symbolic --order 10 --sum-over-states` and
+# of evaluate_epsilons on the Bender-Wu model at order 8, recorded before the
+# symbolic layer moved onto tuple-based variables and monomials
+ORDERS_7_TO_10_DIGEST = "afba802f476cb873781364a010feeac2732eb4def0eb1575fc74919117fc1288"
+
+
+def test_criterion_01_orders_7_to_10_digest(tmp_path):
+    out = tmp_path / "symbolic.json"
+    assert cli.main(["symbolic", "--order", "10", "--sum-over-states", "--output", str(out)]) == 0
+    values = evaluate_epsilons(build_anharmonic_model(30, 0.1), 8)
+    record = {"symbolic": json.loads(out.read_text())["results"], "anharmonic": values.tolist()}
+    digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode("ascii")).hexdigest()
+    assert digest == ORDERS_7_TO_10_DIGEST
+    _report(1, "orders 1..10 text, JSON and sums over states, and anharmonic epsilon_1..8, match the pinned digest")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Perturbative-correction generation: Bell polynomials and recursions."""
 
+import copy
+import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -95,6 +98,19 @@ class TestOrdinaryBell:
             assert monomial_weight(mono) == n
             assert mono.degree() == l
             assert coeff > 0
+
+    def test_sum_over_ordered_compositions(self):
+        # the definition: B_{n,l} sums prod g_{k_i} over (k_1..k_l), k_i >= 1, sum k_i = n
+        for n in range(1, 11):
+            for l in range(1, n + 1):
+                expected = GExpression()
+                for parts in itertools.product(range(1, n - l + 2), repeat=l):
+                    if sum(parts) == n:
+                        term = GExpression.constant(1)
+                        for k in parts:
+                            term = term * g(k)
+                        expected = expected + term
+                assert ordinary_bell(n, l) == expected, f"B_({n},{l})"
 
     def test_row_sum_counts_compositions(self):
         # sum over l of B_{n,l} evaluated at g_k = 1 counts compositions of n
@@ -196,6 +212,20 @@ class TestEpsilonSeries:
     def test_argument_range(self):
         with pytest.raises(ValueError):
             epsilon_series(0)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_series_round_trips(self, clone):
+        series = epsilon_series(4)
+        twin = clone(series)
+        assert twin == series
+        assert repr(twin) == repr(series)
+        for n, result in series.items():
+            for name in ("lambda0", "lambdadot0", "gamma0", "gammadot0", "epsilon"):
+                assert type(getattr(twin[n], name)) is GExpression
 
 
 class TestRenderSumOverStates:

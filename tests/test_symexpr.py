@@ -1,5 +1,7 @@
 """Exact polynomial algebra over the g_m^(k) symbols."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -77,6 +79,30 @@ class TestConstruction:
     def test_monomial_factor_order_is_canonical(self):
         assert g(2) * g(1) == g(1) * g(2)
         assert g(3, 1) * g(2) * g(3, 1) == g(2) * g(3, 1) ** 2
+
+
+class TestCopying:
+    """Pickle and both copies rebuild an equal value of the same type and repr."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [GVar(2, 1), GMonomial({GVar(2, 1): 2}), g(2, 1) * g(3)],
+        ids=["gvar", "monomial", "expression"],
+    )
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trip(self, value, clone):
+        twin = clone(value)
+        assert twin == value
+        assert type(twin) is type(value)
+        assert repr(twin) == repr(value)
+
+    def test_reprs(self):
+        assert repr(GVar(2, 1)) == "GVar(order=2, deriv=1)"
+        assert repr(GMonomial({GVar(2, 1): 2})) == "GMonomial(((GVar(order=2, deriv=1), 2),))"
 
 
 class TestArithmeticExamples:
