@@ -623,18 +623,40 @@ _RUNNERS = {
 }
 
 
+def _version() -> str:
+    """The installed sptqmc's version, or "unknown" when running from a source tree.
+
+    importlib.metadata takes about 20 ms to import, so it is asked only when a
+    sys.path entry could hold sptqmc's metadata: an egg, a directory listing an
+    sptqmc .dist-info or .egg-info, or an entry that exists but is not a directory.
+    """
+    for entry in sys.path:
+        try:
+            names = [name.lower() for name in os.listdir(entry or ".")]
+        except NotADirectoryError:  # a zip file, say
+            break
+        except OSError:  # missing or unreadable: no metadata there either
+            continue
+        if entry.endswith(".egg") or any(
+            name.startswith(("sptqmc-", "sptqmc.")) and name.endswith((".dist-info", ".egg-info")) for name in names
+        ):
+            break
+    else:
+        return "unknown"
+    from importlib import metadata
+    try:
+        return metadata.version("sptqmc")
+    except metadata.PackageNotFoundError:
+        return "unknown"
+
+
 def run(config: RunConfig) -> RunReport:
     """Execute a validated config and assemble the run report."""
     results, human = _RUNNERS[config.subcommand](config)
-    from importlib import metadata
-    try:
-        version = metadata.version("sptqmc")
-    except metadata.PackageNotFoundError:  # running from a source tree
-        version = "unknown"
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": config.subcommand,
-        "version": version,
+        "version": _version(),
         "seed": config.seed,
         "config": config.parameters,
         "results": results,

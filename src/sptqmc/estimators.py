@@ -219,7 +219,9 @@ def autocovariance(values: np.ndarray, max_lag: int, mean: float | None = None) 
     xc = x - (x.mean() if mean is None else mean)
     m = _next_fast_len(2 * n)
     f = np.fft.rfft(xc, m)
-    acov = np.fft.irfft(f * np.conj(f), m)[: max_lag + 1]
+    del xc  # the centred copy, then the raw spectrum (f rebound), go as soon as they are used
+    f = f * np.conj(f)  # in this form: other forms of the product change c(k) in its last bits
+    acov = np.fft.irfft(f, m)[: max_lag + 1]
     return acov / n
 
 

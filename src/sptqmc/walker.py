@@ -9,8 +9,8 @@ is literally (H Phi)/Phi, and the auxiliary potential Veff satisfies
 
 Positions are numpy vectors of arbitrary dimension d.  All trial and
 potential callables accept batched positions of shape (..., d) and
-return values of shape (...,), so whole trajectories evaluate in one
-vectorized pass.
+return values of shape (...,), so trajectories evaluate in vectorized
+blocks of rows.
 
 The Langevin proposal is decided here: proposal_mean is its mean, and
 langevin_kernel gives every per-step loop (langevin_walk, the creep
@@ -286,7 +286,7 @@ def langevin_walk(trial, potential, epsilon: float, steps: int, rng, start, keep
     return trajectory
 
 
-_SCAN_ROWS = 65536  # rows of one coordinate per list in the Gaussian walk's scan: 4 MB, not a whole column
+_SCAN_ROWS = 65536  # rows per block of the Gaussian walk's scan and of W: a few MB, not whole columns
 
 
 def sample_local_energy_series(
@@ -304,9 +304,10 @@ def sample_local_energy_series(
     """Local-energy series from one Langevin walk.
 
     Runs burn_in + steps Langevin updates out of start_position (or
-    initial) and evaluates W on the whole trajectory in a single
-    vectorized pass; the returned series carries the burn_in marker and
-    analysis slices it off.  For a Gaussian trial the linear recursion
+    initial) and evaluates W on the trajectory in vectorized blocks of
+    _SCAN_ROWS rows, bitwise as one pass over it; the returned series
+    carries the burn_in marker and analysis slices it off.  For a
+    Gaussian trial the linear recursion
     x' = (1 - eps alpha) x + eta runs per coordinate as a float scan over
     the noise, in place, rounding bit for bit as the scipy.signal.lfilter
     call it replaced; the noise stream and so the statistics match
@@ -338,7 +339,9 @@ def sample_local_energy_series(
                 column[begin:begin + _SCAN_ROWS] = block
     else:
         trajectory = langevin_walk(trial, potential, epsilon, total, rng, start)
-    values = np.asarray(local_energy(trial, potential, trajectory), dtype=float)
+    values = np.empty(total)
+    for begin in range(0, total, _SCAN_ROWS):  # W block by block, so its temporaries span one block
+        values[begin:begin + _SCAN_ROWS] = local_energy(trial, potential, trajectory[begin:begin + _SCAN_ROWS])
     series = LocalEnergySeries(values=values, step=float(epsilon), burn_in=burn_in)
     if return_positions:
         return series, trajectory

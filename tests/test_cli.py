@@ -1,5 +1,6 @@
 """Config parsing, subcommand dispatch, report format, and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import tempfile
 import tracemalloc
 import types
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -613,6 +615,29 @@ class TestVmcCommand:
         assert "compute error" in capsys.readouterr().err
 
 
+# sha256 of the series file and the `results` of `spt vmc` (the installed-script
+# CI config: 200,000 steps, 2 workers, seed 1) and of `spt spt-orders` reading
+# that file, recorded before the estimators and the walker freed their
+# temporaries early
+WALK_DIGEST = "eeca544a7f144eb32d2feab7155564d5ed79a57fdc879c3d5cac96fbab97560c"
+
+
+def test_walk_reports_match_digest(tmp_path):
+    series = tmp_path / "walk.csv"
+    (tmp_path / "vmc.cfg").write_text(
+        f"alpha = 1.2\nepsilon = 0.005\nsteps = 200000\nburn_in = 2000\nworkers = 2\nseries_out = {series}\n"
+    )
+    (tmp_path / "orders.cfg").write_text(f"max_order = 2\nseries = {series}\n")
+    assert main(["vmc", "--config", str(tmp_path / "vmc.cfg"), "--seed", "1", "--output", str(tmp_path / "vmc.json")]) == 0
+    assert main(["spt-orders", "--config", str(tmp_path / "orders.cfg"), "--output", str(tmp_path / "orders.json")]) == 0
+    record = {
+        "series": hashlib.sha256(series.read_bytes()).hexdigest(),
+        "vmc": json.loads((tmp_path / "vmc.json").read_text())["results"],
+        "spt-orders": json.loads((tmp_path / "orders.json").read_text())["results"],
+    }
+    assert hashlib.sha256(json.dumps(record, sort_keys=True).encode("ascii")).hexdigest() == WALK_DIGEST
+
+
 class TestSeedPrecedence:
     def _seed_of(self, tmp_path, capsys, argv_extra=()):
         out_path = tmp_path / "seed-probe.json"
@@ -889,6 +914,34 @@ class TestInstalledEntryPoints:
             assert proc.returncode == 0, proc.stderr
             outputs.append([proc.stdout] + [(tmp_path / name).read_bytes() for name in ("r.json", "s.csv")])
         assert outputs[0] == outputs[1]
+
+    def test_source_tree_reports_unknown_without_importlib_metadata(self, tmp_path):
+        # no sys.path entry holds sptqmc metadata, so importlib.metadata (about 20 ms) is never imported
+        code = (
+            "import json, sys\nfrom sptqmc.cli import main\n"
+            "assert main(['symbolic', '--order', '1', '--output', 'r.json']) == 0\n"
+            "print(json.dumps([json.load(open('r.json'))['version'], 'importlib.metadata' in sys.modules]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120,
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == ["unknown", False]
+
+    @pytest.mark.parametrize("layout", ["dist-info", "egg-info", "zip"])
+    def test_installed_metadata_gives_the_version(self, tmp_path, monkeypatch, layout):
+        site = tmp_path / "site"
+        if layout == "dist-info":
+            (site / "sptqmc-9.9.dist-info").mkdir(parents=True)
+            (site / "sptqmc-9.9.dist-info" / "METADATA").write_text("Metadata-Version: 2.1\nName: sptqmc\nVersion: 9.9\n")
+        elif layout == "egg-info":  # a development install's metadata, beside the package
+            (site / "sptqmc.egg-info").mkdir(parents=True)
+            (site / "sptqmc.egg-info" / "PKG-INFO").write_text("Metadata-Version: 2.1\nName: sptqmc\nVersion: 9.9\n")
+        else:
+            site = tmp_path / "site.zip"
+            with zipfile.ZipFile(site, "w") as archive:
+                archive.writestr("sptqmc-9.9.dist-info/METADATA", "Metadata-Version: 2.1\nName: sptqmc\nVersion: 9.9\n")
+        monkeypatch.syspath_prepend(str(site))
+        assert run(parse_config("order = 1")).report["version"] == "9.9"
 
     def test_module_invocation(self):
         proc = subprocess.run(

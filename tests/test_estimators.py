@@ -1,6 +1,7 @@
 """Series statistics: blocking, autocorrelation, action moments, cumulants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,32 @@ class TestFftBackend:
         f = scipy_fft.rfft(xc, m)
         reference = scipy_fft.irfft(f * np.conj(f), m)[: n // 4 + 1] / n
         assert np.array_equal(autocovariance(x, n // 4), reference)
+
+    # spectra of 16 KB and 800 KB, on both sides of the 256 KiB above which numpy
+    # computes f * np.conj(f) into the conj temporary, as np.conj(f) * f
+    @pytest.mark.parametrize("n", [1_000, 50_000])
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_autocovariance_bitwise_equal_to_written_out_product(self, n, pooled):
+        x = np.random.default_rng(n).normal(size=n)
+        mean = 0.25 if pooled else None
+        xc = x - (x.mean() if mean is None else mean)
+        m = _next_fast_len(2 * n)
+        f = np.fft.rfft(xc, m)
+        reference = np.fft.irfft(f * np.conj(f), m)[: n // 4 + 1] / n
+        assert np.array_equal(autocovariance(x, n // 4, mean=mean), reference)
+
+    def test_autocovariance_frees_its_temporaries(self):
+        # the centred copy goes before the product, the raw spectrum before irfft;
+        # holding both to the end peaked at 7.04 x 8n bytes
+        n = 400_000
+        x = np.random.default_rng(5).normal(size=n)
+        tracemalloc.start()
+        try:
+            autocovariance(x, n // 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * 8 * n
 
 
 class TestActionMoments:

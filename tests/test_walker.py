@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from sptqmc.walker import (
+    _SCAN_ROWS,
     CallableTrial,
     DoubleWellPotential,
     GaussianTrial,
@@ -301,6 +303,33 @@ class TestSeriesSampling:
             )
         with pytest.raises(ValueError):
             init_walker(t, HarmonicPotential(), [0.0], epsilon=0.0)
+
+
+class TestBlockedLocalEnergy:
+    """W evaluated _SCAN_ROWS rows at a time: bitwise one pass over the walk, in a fraction of its memory."""
+
+    @pytest.mark.parametrize("trial, potential", [
+        *((GaussianTrial(1.2, dim), potential) for dim in (1, 3)
+          for potential in (HarmonicPotential(), QuarticPotential(0.1), DoubleWellPotential(1.3, 0.8))),
+        (wrap_generic(GaussianTrial(0.9)), DoubleWellPotential(1.3, 0.8)),  # the langevin_walk path
+    ])
+    def test_values_equal_one_pass_over_the_trajectory(self, trial, potential):
+        series, trajectory = sample_local_energy_series(
+            trial, potential, epsilon=0.01, steps=2 * _SCAN_ROWS + 7, burn_in=100, seed=3, return_positions=True
+        )
+        expected = local_energy(trial, potential, trajectory)
+        assert np.array_equal(series.values.view(np.int64), expected.view(np.int64))
+
+    def test_peak_memory(self):
+        # W's temporaries over the whole (steps, 1) walk peaked at 5.07 x 8 bytes per step
+        steps = 400_000
+        tracemalloc.start()
+        try:
+            sample_local_energy_series(GaussianTrial(1.2), HarmonicPotential(), epsilon=0.01, steps=steps, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 8 * steps
 
 
 SCALAR_SYSTEMS = [
