@@ -529,21 +529,17 @@ def _spt_orders_chain(params: dict, series: estimators.LocalEnergySeries):
         source = "tau_min_factor, tau_max_factor and tau_points"
     try:
         moments = estimators.action_moments(series, grid, params["max_order"])
-        orders, diag = estimators.stochastic_epsilons(
-            moments,
-            params["max_order"],
-            allow_high_orders=params["allow_high_orders"],
-            return_diagnostics=True,
+        orders = estimators.stochastic_epsilons(
+            moments, params["max_order"], allow_high_orders=params["allow_high_orders"]
         )
     except estimators.SeriesTooShortError:
         raise
     except (ValueError, OverflowError) as exc:  # max_order is checked at parse time, so the grid is at fault
         raise ConfigError(f"tau grid from {source}: {exc}") from None
-    return integral, orders, diag
+    return integral, orders
 
 
 def _run_spt_orders(config: RunConfig) -> tuple[dict, list[str]]:
-    import numpy as np
     from . import estimators
     params = config.parameters
     per_worker = _run_chains(
@@ -551,19 +547,19 @@ def _run_spt_orders(config: RunConfig) -> tuple[dict, list[str]]:
     )
     merged_integral = estimators.merge_estimates([row[0] for row in per_worker])
     merged_orders = [estimators.merge_estimates([row[1][n] for row in per_worker]) for n in range(params["max_order"])]
-    first_diag = per_worker[0][2]
+    fits = [est.fit for est in per_worker[0][1]]
     results = {
         "epsilon_n": {
             str(n + 1): {"mean": est.mean, "err": est.std_error}
             for n, est in enumerate(merged_orders)
         },
-        "tau_w": float(np.mean([row[0].autocorr_time for row in per_worker])),
+        "tau_w": float(merged_integral.autocorr_time),
         "autocorrelation_epsilon_2": _estimate_dict(merged_integral),
         "diagnostics": {
-            "tau_grid": first_diag["tau_grid"],
-            "r2": first_diag["r2"],
-            "slopes": first_diag["slopes"],
-            "intercepts": first_diag["intercepts"],
+            "tau_grid": fits[0]["tau_grid"],
+            "r2": [fit["r2"] for fit in fits],
+            "slopes": [fit["slope"] for fit in fits],
+            "intercepts": [fit["intercept"] for fit in fits],
             "workers": len(per_worker),
         },
     }

@@ -2,8 +2,8 @@
 
 Three estimator families over one immutable series type:
 
-  * vmc_estimate: time average with blocking errors and an
-    autocorrelation time from the integrated ACF,
+  * blocked_estimate / vmc_estimate: means with blocking errors, and
+    vmc_estimate's autocorrelation time from the integrated ACF,
   * autocorrelation_integral: the second-order correction as
     -epsilon * (c(0)/2 + sum c(k)) with a self-consistent window,
   * action_moments / stochastic_epsilons: sliding-window action moments
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -68,6 +69,7 @@ class EstimateWithError:
     std_error: float
     autocorr_time: float
     effective_samples: float
+    fit: dict = field(default_factory=dict, compare=False)  # the line behind a slope estimate, else empty
 
     def __post_init__(self) -> None:
         if self.std_error < 0:
@@ -145,7 +147,7 @@ def blocking_error(values: np.ndarray, min_blocks: int = 32) -> tuple[float, boo
     return max(level[1] for level in levels), False
 
 
-def _integrated_autocorr_steps(x: np.ndarray, window_factor: float) -> tuple[float, int, np.ndarray]:
+def _integrated_autocorr_steps(x: np.ndarray) -> tuple[float, int, np.ndarray]:
     """Sokal-windowed tau_int in step units, the window k*, and c(0..N/4) it came from."""
     c = autocovariance(x, max_lag=max(1, x.size // 4))
     if c[0] <= 0:
@@ -154,39 +156,58 @@ def _integrated_autocorr_steps(x: np.ndarray, window_factor: float) -> tuple[flo
     tau = 0.5
     for k in range(1, rho.size):
         tau += float(rho[k])
-        if k >= window_factor * tau:
+        if k >= _SOKAL_WINDOW * tau:
             return max(tau, 0.5), k, c
     raise WindowSelectionError(
         "autocorrelation does not decay within the available lags"
     )
 
 
-def vmc_estimate(series: LocalEnergySeries) -> EstimateWithError:
-    """Time average of W with blocking error bar.
+def blocked_estimate(values: np.ndarray, min_blocks: int, tau_steps: Callable, step: float = 1.0) -> EstimateWithError:
+    """Mean of values with its blocking error bar; constant values are exact.
 
-    std_error comes from the blocking plateau; autocorr_time is the
-    integrated autocorrelation time (in time units, so epsilon/2 for an
-    uncorrelated series) and effective_samples = N / (2 tau_int_steps).
+    Below min_blocks samples there is no blocking table: the error is
+    that of independent samples, and autocorr_time is one step.
+    Otherwise tau_steps(values, sem2, plateau), the caller's policy,
+    turns the blocking result into tau_int in steps, or raises;
+    autocorr_time is tau_int * step and effective_samples = N / (2 tau_int).
     """
-    x = series.analysis_values
-    n = x.size
-    if n < 1000:
-        raise SeriesTooShortError(f"need >= 1000 post-burn-in samples, got {n}")
-    mean = float(np.mean(x))
-    if np.var(x) == 0.0:
+    n = values.size
+    if n < 2:
+        raise SeriesTooShortError("need at least 2 samples")
+    mean = float(np.mean(values))
+    if np.var(values) == 0.0:
         return EstimateWithError(mean=mean, std_error=0.0, autocorr_time=0.0, effective_samples=float(n))
-    sem2, plateau = blocking_error(x)
-    if not plateau:
-        raise SeriesTooShortError(
-            "no blocking plateau: series too short for its correlation time"
-        )
-    tau_steps, _, _ = _integrated_autocorr_steps(x, _SOKAL_WINDOW)
+    if n < min_blocks:
+        sem2 = float(np.var(values, ddof=1) / n)
+        return EstimateWithError(mean=mean, std_error=math.sqrt(sem2), autocorr_time=step, effective_samples=float(n))
+    sem2, plateau = blocking_error(values, min_blocks)
+    tau = tau_steps(values, sem2, plateau)
     return EstimateWithError(
         mean=mean,
         std_error=math.sqrt(sem2),
-        autocorr_time=tau_steps * series.step,
-        effective_samples=n / (2.0 * tau_steps),
+        autocorr_time=tau * step,
+        effective_samples=n / (2.0 * tau),
     )
+
+
+def _plateau_sokal_tau(x: np.ndarray, sem2: float, plateau: bool) -> float:
+    if not plateau:
+        raise SeriesTooShortError("no blocking plateau: series too short for its correlation time")
+    return _integrated_autocorr_steps(x)[0]
+
+
+def vmc_estimate(series: LocalEnergySeries) -> EstimateWithError:
+    """Time average of W with blocking error bar.
+
+    std_error comes from the blocking plateau at >= 32 blocks (none
+    raises); autocorr_time is the Sokal-windowed integrated ACF (in time
+    units, so epsilon/2 for an uncorrelated series).
+    """
+    x = series.analysis_values
+    if x.size < 1000:
+        raise SeriesTooShortError(f"need >= 1000 post-burn-in samples, got {x.size}")
+    return blocked_estimate(x, 32, _plateau_sokal_tau, series.step)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +260,7 @@ def autocorrelation_integral(series: LocalEnergySeries) -> EstimateWithError:
     mean = float(np.mean(x))
     if n < 2 or np.var(x) == 0.0:
         return EstimateWithError(mean=0.0, std_error=0.0, autocorr_time=0.0, effective_samples=float(n))
-    tau_steps, kstar, c = _integrated_autocorr_steps(x, _SOKAL_WINDOW)
+    tau_steps, kstar, c = _integrated_autocorr_steps(x)
     c = c[: kstar + 1]
     eps = series.step
     total = float(-eps * (0.5 * c[0] + np.sum(c[1:])))
@@ -384,17 +405,17 @@ def stochastic_epsilons(
     max_order: int | None = None,
     *,
     allow_high_orders: bool = False,
-    return_diagnostics: bool = False,
-):
+) -> list[EstimateWithError]:
     """Perturbative corrections from the tau-slopes of the cumulants.
 
     gamma_n(tau) is computed from lambda_n(tau) at every grid point; in
     the asymptotic regime it grows linearly and epsilon_n is (-1)^(n+1)
     times the slope of a weighted linear fit (the intercept absorbs the
     tau-independent cumulant constant).  Errors propagate by refitting
-    each moment batch.  Orders above 3 are refused unless
-    allow_high_orders is set: the cumulant recursion is ill conditioned
-    and noise grows quickly with order.
+    each moment batch.  Each estimate's fit holds its line: the realized
+    tau_grid, slope, intercept and weighted r2.  Orders above 3 are
+    refused unless allow_high_orders is set: the cumulant recursion is
+    ill conditioned and noise grows quickly with order.
     """
     n_max = moments.max_order if max_order is None else max_order
     if n_max < 1 or n_max > moments.max_order:
@@ -410,16 +431,7 @@ def stochastic_epsilons(
     n_batches = batch_gammas.shape[0]
     sigma = batch_gammas.std(axis=0, ddof=1) / math.sqrt(n_batches)
 
-    estimates: list[EstimateWithError] = []
-    diagnostics = {
-        "tau_grid": tau,
-        "gamma": gamma,
-        "gamma_errors": sigma,
-        "intercepts": [],
-        "slopes": [],
-        "r2": [],
-        "batch_slopes": [],
-    }
+    estimates = []
     for order in range(1, n_max + 1):
         y = gamma[:, order]
         s = sigma[:, order]
@@ -448,14 +460,9 @@ def stochastic_epsilons(
                 std_error=slope_err,
                 autocorr_time=0.0,
                 effective_samples=float(n_batches),
+                fit={"tau_grid": tau, "slope": slope, "intercept": intercept, "r2": r2},
             )
         )
-        diagnostics["intercepts"].append(intercept)
-        diagnostics["slopes"].append(slope)
-        diagnostics["r2"].append(r2)
-        diagnostics["batch_slopes"].append(batch_slopes)
-    if return_diagnostics:
-        return estimates, diagnostics
     return estimates
 
 
@@ -464,18 +471,26 @@ def stochastic_epsilons(
 
 
 def merge_estimates(estimates: list[EstimateWithError]) -> EstimateWithError:
-    """Inverse-variance merge of independent estimates of one quantity."""
+    """Inverse-variance merge of independent estimates of one quantity.
+
+    Exact estimates (std_error 0) merge to their plain mean; exact and
+    inexact ones together raise ValueError, since no weight fits both.
+    """
     if not estimates:
         raise ValueError("nothing to merge")
     if len(estimates) == 1:
         return estimates[0]
-    if any(e.std_error == 0.0 for e in estimates):
-        exact = [e for e in estimates if e.std_error == 0.0]
+    exact = sum(e.std_error == 0.0 for e in estimates)
+    if exact == len(estimates):
         return EstimateWithError(
-            mean=float(np.mean([e.mean for e in exact])),
+            mean=float(np.mean([e.mean for e in estimates])),
             std_error=0.0,
-            autocorr_time=exact[0].autocorr_time,
+            autocorr_time=estimates[0].autocorr_time,
             effective_samples=float(sum(e.effective_samples for e in estimates)),
+        )
+    if exact:
+        raise ValueError(
+            f"cannot merge {exact} exact estimates (std_error 0) with {len(estimates) - exact} inexact ones"
         )
     weights = np.array([1.0 / e.std_error**2 for e in estimates])
     means = np.array([e.mean for e in estimates])

@@ -309,29 +309,12 @@ class ReptationSampler:
 
 
 # ---------------------------------------------------------------------------
-# estimators over sampled reptiles
+# the error-bar policy of sampled reptiles
 
 
-def _blocked(values: np.ndarray, step: float) -> EstimateWithError:
-    n = values.size
-    if n < 2:
-        raise estimators.SeriesTooShortError("need at least 2 samples")
-    mean = float(values.mean())
-    if np.var(values) == 0.0:
-        return EstimateWithError(mean=mean, std_error=0.0, autocorr_time=0.0, effective_samples=float(n))
-    if n < 16:
-        sem2 = float(np.var(values, ddof=1) / n)
-        return EstimateWithError(mean=mean, std_error=math.sqrt(sem2), autocorr_time=step, effective_samples=float(n))
-    # without a plateau this is the largest level, a conservative bound
-    sem2, _ = estimators.blocking_error(values, min_blocks=16)
-    var0 = float(np.var(values, ddof=1))
-    tau_steps = max(0.5, 0.5 * sem2 * n / var0)
-    return EstimateWithError(
-        mean=mean,
-        std_error=math.sqrt(sem2),
-        autocorr_time=tau_steps * step,
-        effective_samples=n / (2.0 * tau_steps),
-    )
+def _blocking_ratio_tau(values: np.ndarray, sem2: float, plateau: bool) -> float:
+    """tau_int in sweeps from the blocking ratio; without a plateau sem2 is the largest level, a conservative bound."""
+    return max(0.5, 0.5 * sem2 * values.size / float(np.var(values, ddof=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +413,8 @@ def run_reptation(
             f"path length {tau:.3g} below twice the projection time {projection_time:.3g}",
             stacklevel=2,
         )
-    energy = _blocked(series.mean(axis=1), 1.0)
-    pure = {name: _blocked(vals, 1.0) for name, vals in middles.items()}
+    energy = estimators.blocked_estimate(series.mean(axis=1), 16, _blocking_ratio_tau)
+    pure = {name: estimators.blocked_estimate(vals, 16, _blocking_ratio_tau) for name, vals in middles.items()}
     return RQMCRunResult(
         energy=energy,
         acceptance_rate=sampler.acceptance_rate,

@@ -77,8 +77,7 @@ def cumulant_fits(calibration_series):
     tau_w = integral.autocorr_time
     grid = np.linspace(10.0 * tau_w, 40.0 * tau_w, 8)
     moments = action_moments(series, grid, 2)
-    orders, diag = stochastic_epsilons(moments, 2, return_diagnostics=True)
-    return integral, orders, diag
+    return integral, stochastic_epsilons(moments, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +311,7 @@ def test_criterion_06_vmc_mean_and_variance(calibration_series):
 
 
 def test_criterion_07_second_order_two_ways(cumulant_fits):
-    integral, orders, _ = cumulant_fits
+    integral, orders = cumulant_fits
     target = -((1.0 - ALPHA**2) ** 2) / (16.0 * ALPHA**3)
 
     pull_integral = (integral.mean - target) / integral.std_error
@@ -336,8 +335,8 @@ def test_criterion_07_second_order_two_ways(cumulant_fits):
 
 
 def test_criterion_08_cumulant_linearity(cumulant_fits):
-    integral, _, diag = cumulant_fits
-    r2 = diag["r2"][1]
+    integral, orders = cumulant_fits
+    r2 = orders[1].fit["r2"]
     assert r2 >= 0.99
     _report(
         8,

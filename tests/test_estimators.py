@@ -5,7 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import blocking_reference
 from sptqmc.estimators import (
     ActionMoments,
     EstimateWithError,
@@ -18,6 +21,7 @@ from sptqmc.estimators import (
     action_moments,
     autocorrelation_integral,
     autocovariance,
+    blocked_estimate,
     blocking_error,
     blocking_levels,
     gamma_from_lambdas,
@@ -25,6 +29,7 @@ from sptqmc.estimators import (
     stochastic_epsilons,
     vmc_estimate,
 )
+from sptqmc.rqmc import _blocking_ratio_tau
 from sptqmc.walker import GaussianTrial, HarmonicPotential, sample_local_energy_series
 
 ALPHA = 1.2
@@ -146,6 +151,48 @@ class TestVmcEstimate:
             blocking_error(np.arange(10.0), min_blocks=16)
 
 
+def _outcome(fn, *args) -> tuple:
+    """The estimate's fields as float.hex, or the exception it raised."""
+    try:
+        est = fn(*args)
+    except Exception as exc:  # both sides must raise alike
+        return type(exc), str(exc)
+    return tuple(float(v).hex() for v in (est.mean, est.std_error, est.autocorr_time, est.effective_samples))
+
+
+def _draw_values(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        return np.full(n, rng.normal())
+    if kind == "walk":  # a random walk; at 16-31 samples its one blocking level has no plateau
+        return np.cumsum(rng.normal(size=n))
+    decay = rng.uniform(0.0, 0.95)
+    return ar1_series(n, decay, seed).values
+
+
+class TestBlockedEstimate:
+    """blocked_estimate under each caller's policy, bit for bit against the code it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["ar1", "constant", "walk"]), n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1))
+    @example(kind="ar1", n=2, seed=0)
+    @example(kind="ar1", n=15, seed=1)  # the last length below 16 blocks
+    @example(kind="ar1", n=16, seed=1)
+    @example(kind="constant", n=5, seed=2)
+    @example(kind="walk", n=20, seed=3)
+    @example(kind="walk", n=300, seed=3)
+    def test_reptation_policy_matches_reference(self, kind, n, seed):
+        values = _draw_values(kind, n, seed)
+        expected = _outcome(blocking_reference.rqmc_blocked, values, 1.0)
+        assert _outcome(blocked_estimate, values, 16, _blocking_ratio_tau) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["ar1", "constant", "walk"]), n=st.integers(1000, 4000), seed=st.integers(0, 2**32 - 1))
+    def test_vmc_policy_matches_reference(self, kind, n, seed):
+        series = LocalEnergySeries(values=_draw_values(kind, n, seed), step=0.01)
+        assert _outcome(vmc_estimate, series) == _outcome(blocking_reference.vmc_estimate, series)
+
+
 class TestAutocorrelationIntegral:
     def test_constant_series_is_zero(self):
         s = LocalEnergySeries(values=np.full(5000, 1.3), step=0.01, burn_in=0)
@@ -199,7 +246,7 @@ class TestAutocorrelationIntegral:
     def test_integral_reuses_the_window_autocovariance(self):
         s = ar1_series(200_000, 0.9, seed=8)
         x = s.analysis_values
-        _, kstar, c = _integrated_autocorr_steps(x, 6.0)
+        _, kstar, c = _integrated_autocorr_steps(x)
         assert np.array_equal(c[: kstar + 1], autocovariance(x, kstar))
         own = autocovariance(x, kstar)
         expected = float(-s.step * (0.5 * own[0] + np.sum(own[1:])))
@@ -402,10 +449,16 @@ class TestStochasticEpsilons:
     def test_diagnostics_payload(self, harmonic_run):
         grid = np.linspace(4.0, 16.0, 6)
         moments = action_moments(harmonic_run, grid, 2)
-        orders, diag = stochastic_epsilons(moments, 2, return_diagnostics=True)
-        assert set(diag) >= {"tau_grid", "gamma", "r2", "slopes", "intercepts"}
-        assert len(diag["r2"]) == 2
-        assert diag["r2"][0] > 0.99
+        orders = stochastic_epsilons(moments, 2)
+        assert len(orders) == 2
+        for order, est in enumerate(orders, start=1):
+            assert set(est.fit) == {"tau_grid", "slope", "intercept", "r2"}
+            assert est.fit["tau_grid"] is moments.tau_grid
+            assert est.mean == (-1) ** (order + 1) * est.fit["slope"]
+        assert orders[0].fit["r2"] > 0.99
+        # the fit rides along without taking part in equality
+        plain = EstimateWithError(orders[0].mean, orders[0].std_error, orders[0].autocorr_time, orders[0].effective_samples)
+        assert plain == orders[0] and plain.fit == {}
 
 
 class TestMergeEstimates:
@@ -424,6 +477,13 @@ class TestMergeEstimates:
         merged = merge_estimates([a, b])
         assert merged.mean == 0.5
         assert merged.std_error == 0.0
+
+    def test_mixed_exact_and_inexact_refused(self):
+        exact = EstimateWithError(mean=0.5, std_error=0.0, autocorr_time=0.0, effective_samples=10)
+        inexact = EstimateWithError(mean=0.4, std_error=0.1, autocorr_time=1.0, effective_samples=10)
+        for mixed in ([exact, inexact], [inexact, exact, exact]):
+            with pytest.raises(ValueError, match="exact .* inexact"):
+                merge_estimates(mixed)
 
     def test_single_estimate_passthrough(self):
         a = EstimateWithError(mean=0.3, std_error=0.05, autocorr_time=2.0, effective_samples=50)

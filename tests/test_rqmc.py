@@ -28,11 +28,12 @@ from sptqmc.rqmc import (
     ReptationSampler,
     Reptile,
     acceptance_probability,
-    _blocked,
+    _blocking_ratio_tau,
     adaptive_burn_in,
     init_reptile,
     link_action,
 )
+from sptqmc.estimators import blocked_estimate
 from sptqmc.walker import derive_rng, drift, local_energy
 from walker_reference import init_walker, langevin_step, wrap_generic
 
@@ -351,16 +352,16 @@ class TestEnergyEstimator:
     def test_reptile_snapshots_accepted(self, harmonic_run):
         # the run blocks one end_energy per sweep: (W_head + W_tail)/2
         ends = [Reptile([0.0, 1.0], list(pair), harmonic_run.epsilon).end_energy() for pair in harmonic_run.series]
-        assert _blocked(np.array(ends), 1.0) == harmonic_run.energy
+        assert blocked_estimate(np.array(ends), 16, _blocking_ratio_tau) == harmonic_run.energy
 
     def test_plain_array_accepted(self):
-        est = _blocked(np.array([0.5, 0.5, 0.5, 0.5]), 1.0)
+        est = blocked_estimate(np.array([0.5, 0.5, 0.5, 0.5]), 16, _blocking_ratio_tau)
         assert est.mean == 0.5
         assert est.std_error == 0.0
 
     def test_too_few_samples(self):
         with pytest.raises(SeriesTooShortError):
-            _blocked(np.array([0.5]), 1.0)
+            blocked_estimate(np.array([0.5]), 16, _blocking_ratio_tau)
 
 
 class TestPureEstimator:
@@ -395,7 +396,7 @@ class TestPureEstimator:
             run_reptation(GaussianTrial(1.0), HarmonicPotential(), projection_time=1.5, **kwargs)
 
     def test_value_arrays_accepted(self):
-        est = _blocked(np.array([1.0, 4.0, 9.0, 4.0]), 1.0)
+        est = blocked_estimate(np.array([1.0, 4.0, 9.0, 4.0]), 16, _blocking_ratio_tau)
         assert est.mean == pytest.approx(4.5, rel=1e-12)
 
 
