@@ -529,9 +529,7 @@ def _spt_orders_chain(params: dict, series: estimators.LocalEnergySeries):
         source = "tau_min_factor, tau_max_factor and tau_points"
     try:
         moments = estimators.action_moments(series, grid, params["max_order"])
-        orders = estimators.stochastic_epsilons(
-            moments, params["max_order"], allow_high_orders=params["allow_high_orders"]
-        )
+        orders = estimators.stochastic_epsilons(moments, allow_high_orders=params["allow_high_orders"])
     except estimators.SeriesTooShortError:
         raise
     except (ValueError, OverflowError) as exc:  # max_order is checked at parse time, so the grid is at fault

@@ -246,6 +246,11 @@ def autocovariance(values: np.ndarray, max_lag: int, mean: float | None = None) 
     return acov / n
 
 
+def batch_error(values) -> np.ndarray | float:
+    """Standard error of the mean over batches: the spread of values along axis 0 over sqrt(batches)."""
+    return np.std(values, axis=0, ddof=1) / math.sqrt(len(values))
+
+
 def autocorrelation_integral(series: LocalEnergySeries) -> EstimateWithError:
     """Second-order correction from the local-energy autocovariance.
 
@@ -278,10 +283,9 @@ def autocorrelation_integral(series: LocalEnergySeries) -> EstimateWithError:
         seg = x[b * length : (b + 1) * length]
         cb = autocovariance(seg, kstar, mean=mean)
         values.append(float(-eps * (0.5 * cb[0] + np.sum(cb[1:]))))
-    err = float(np.std(values, ddof=1) / math.sqrt(batches))
     return EstimateWithError(
         mean=total,
-        std_error=err,
+        std_error=float(batch_error(values)),
         autocorr_time=tau_steps * eps,
         effective_samples=n / (2.0 * tau_steps),
     )
@@ -351,7 +355,7 @@ def action_moments(
                 powers[a:b].mean() / fact for a, b in zip(bounds[:-1], bounds[1:])
             ])
             batch_lambdas[:, gi, order] = per_batch
-            errors[gi, order] = per_batch.std(ddof=1) / math.sqrt(_N_BATCHES)
+            errors[gi, order] = batch_error(per_batch)
 
     realized = np.array([w * eps for w in widths])
     return ActionMoments(
@@ -402,11 +406,10 @@ def _weighted_line_fit(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> tup
 
 def stochastic_epsilons(
     moments: ActionMoments,
-    max_order: int | None = None,
     *,
     allow_high_orders: bool = False,
 ) -> list[EstimateWithError]:
-    """Perturbative corrections from the tau-slopes of the cumulants.
+    """Perturbative corrections of every order the moments hold, from the tau-slopes of the cumulants.
 
     gamma_n(tau) is computed from lambda_n(tau) at every grid point; in
     the asymptotic regime it grows linearly and epsilon_n is (-1)^(n+1)
@@ -417,10 +420,7 @@ def stochastic_epsilons(
     refused unless allow_high_orders is set: the cumulant recursion is
     ill conditioned and noise grows quickly with order.
     """
-    n_max = moments.max_order if max_order is None else max_order
-    if n_max < 1 or n_max > moments.max_order:
-        raise ValueError(f"max_order must be in 1..{moments.max_order}, got {n_max}")
-    if n_max > DEFAULT_MAX_STOCHASTIC_ORDER and not allow_high_orders:
+    if moments.max_order > DEFAULT_MAX_STOCHASTIC_ORDER and not allow_high_orders:
         raise ValueError(HIGH_ORDER_WARNING)
     if moments.tau_grid.size < 4:
         raise ValueError("need at least 4 tau grid points for slope fits")
@@ -429,10 +429,10 @@ def stochastic_epsilons(
     gamma = gamma_from_lambdas(moments.lam)
     batch_gammas = gamma_from_lambdas(moments.batch_lambdas)
     n_batches = batch_gammas.shape[0]
-    sigma = batch_gammas.std(axis=0, ddof=1) / math.sqrt(n_batches)
+    sigma = batch_error(batch_gammas)
 
     estimates = []
-    for order in range(1, n_max + 1):
+    for order in range(1, moments.max_order + 1):
         y = gamma[:, order]
         s = sigma[:, order]
         if np.any(s == 0.0):
@@ -452,12 +452,11 @@ def stochastic_epsilons(
             _weighted_line_fit(tau, batch_gammas[b, :, order], weights)[1]
             for b in range(n_batches)
         ])
-        slope_err = float(batch_slopes.std(ddof=1) / math.sqrt(n_batches))
         sign = 1.0 if order % 2 else -1.0
         estimates.append(
             EstimateWithError(
                 mean=sign * slope,
-                std_error=slope_err,
+                std_error=float(batch_error(batch_slopes)),
                 autocorr_time=0.0,
                 effective_samples=float(n_batches),
                 fit={"tau_grid": tau, "slope": slope, "intercept": intercept, "r2": r2},

@@ -148,9 +148,11 @@ class ReptationSampler:
 
     The kernel is defined by w_fn(bead) -> W as a float and
     step(bead, draw()) -> new bead, so the identical move loop drives both
-    production runs (Langevin steps off trial wavefunctions, draw giving
-    the standard normals of a bead) and the discretized toy used by the
-    exact stationary distribution check (draw giving the rng itself).
+    production runs (for_system: Langevin steps off trial wavefunctions,
+    draw giving the standard normals of a bead) and the discretized toy
+    of the exact stationary distribution check.  The toy comes from the
+    constructor: a Reptile over its states with their W values, a step
+    that proposes a state from the rng, and draw returning the rng itself.
     """
 
     def __init__(
@@ -201,24 +203,6 @@ class ReptationSampler:
             draw = partial(rng.standard_normal, np.shape(reptile.head))
         correction_trial = trial if proposal_correction else None
         return cls(reptile, w_fn, step, draw, rng, direction_policy=direction_policy, correction_trial=correction_trial)
-
-    @classmethod
-    def from_functions(
-        cls,
-        w_fn: Callable,
-        propose_fn: Callable,
-        beads: Iterable,
-        epsilon: float,
-        rng: np.random.Generator,
-        *,
-        direction_policy: str = "bounce",
-    ) -> "ReptationSampler":
-        """Sampler over arbitrary states (used by the discrete toy oracle)."""
-        beads = list(beads)
-        reptile = Reptile(beads, [float(w_fn(b)) for b in beads], epsilon)
-        return cls(
-            reptile, w_fn, lambda bead, r: propose_fn(r, bead), lambda: rng, rng, direction_policy=direction_policy
-        )
 
     @property
     def acceptance_rate(self) -> float:

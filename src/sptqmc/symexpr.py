@@ -67,10 +67,6 @@ class GMonomial(tuple):
                 merged[var] = merged.get(var, 0) + exp
         return tuple.__new__(cls, sorted(merged.items()))
 
-    @property
-    def factors(self) -> tuple[tuple[GVar, int], ...]:
-        return tuple(self)
-
     def degree(self) -> int:
         """Total degree, the sum of exponents."""
         return sum(e for _, e in self)
@@ -124,19 +120,12 @@ class GExpression:
         return GExpression, (self._terms,)
 
     @classmethod
-    def zero(cls) -> "GExpression":
-        return cls()
-
-    @classmethod
     def constant(cls, value: RationalLike) -> "GExpression":
         return cls({_ONE: Fraction(value)})
 
     @property
     def terms(self) -> dict[GMonomial, Fraction]:
         return dict(self._terms)
-
-    def coefficient(self, mono: GMonomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
 
     def variables(self) -> set[GVar]:
         out: set[GVar] = set()

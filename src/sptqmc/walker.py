@@ -10,7 +10,9 @@ is literally (H Phi)/Phi, and the auxiliary potential Veff satisfies
 Positions are numpy vectors of arbitrary dimension d.  All trial and
 potential callables accept batched positions of shape (..., d) and
 return values of shape (...,), so trajectories evaluate in vectorized
-blocks of rows.
+blocks of rows.  A trial is any object with log_value, gradient_log,
+laplacian_log and dim; GaussianTrial is the one this module knows by
+type, for its exact start and its fast paths.
 
 The Langevin proposal is decided here: proposal_mean is its mean, and
 langevin_kernel gives every per-step loop (langevin_walk, the creep
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -66,22 +67,6 @@ class GaussianTrial:
 
     def __repr__(self) -> str:
         return f"GaussianTrial(alpha={self.alpha}, dim={self.dim})"
-
-
-class CallableTrial:
-    """Trial built from user functions; dimension must be stated."""
-
-    def __init__(
-        self,
-        log_value: Callable[[np.ndarray], np.ndarray],
-        gradient_log: Callable[[np.ndarray], np.ndarray],
-        laplacian_log: Callable[[np.ndarray], np.ndarray],
-        dim: int,
-    ):
-        self.log_value = log_value
-        self.gradient_log = gradient_log
-        self.laplacian_log = laplacian_log
-        self.dim = int(dim)
 
 
 # ---------------------------------------------------------------------------

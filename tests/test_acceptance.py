@@ -77,7 +77,7 @@ def cumulant_fits(calibration_series):
     tau_w = integral.autocorr_time
     grid = np.linspace(10.0 * tau_w, 40.0 * tau_w, 8)
     moments = action_moments(series, grid, 2)
-    return integral, stochastic_epsilons(moments, 2)
+    return integral, stochastic_epsilons(moments)
 
 
 # ---------------------------------------------------------------------------

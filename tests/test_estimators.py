@@ -21,6 +21,7 @@ from sptqmc.estimators import (
     action_moments,
     autocorrelation_integral,
     autocovariance,
+    batch_error,
     blocked_estimate,
     blocking_error,
     blocking_levels,
@@ -298,6 +299,20 @@ class TestFftBackend:
         assert peak < 5.5 * 8 * n
 
 
+class TestBatchError:
+    """batch_error is bitwise the spread / sqrt(batches) that each estimator spelled out before it."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_replaced_expressions(self, seed):
+        rng = np.random.default_rng(seed)
+        values = [float(v) for v in rng.normal(size=16)]  # autocorrelation_integral's list of batch integrals
+        assert batch_error(values) == np.std(values, ddof=1) / math.sqrt(16)
+        per_batch = rng.normal(size=16)  # one moment's batches in action_moments, the batch slopes
+        assert batch_error(per_batch) == per_batch.std(ddof=1) / math.sqrt(16)
+        stack = rng.normal(size=(16, 8, 4))  # stochastic_epsilons' batch gammas, (batches, grid, order + 1)
+        assert np.array_equal(batch_error(stack), stack.std(axis=0, ddof=1) / math.sqrt(16))
+
+
 class TestActionMoments:
     def test_constant_action_exact(self):
         c, eps = 0.5, 0.25
@@ -388,7 +403,7 @@ class TestStochasticEpsilons:
         c, eps = 0.5, 0.25
         s = LocalEnergySeries(values=np.full(6000, c), step=eps, burn_in=0)
         moments = action_moments(s, [2.0, 4.0, 6.0, 8.0], 3)
-        orders = stochastic_epsilons(moments, 3)
+        orders = stochastic_epsilons(moments)
         assert orders[0].mean == 0.5
         assert orders[0].std_error == 0.0
         assert orders[1].mean == 0.0
@@ -399,7 +414,7 @@ class TestStochasticEpsilons:
         tau_w = est.autocorr_time
         grid = np.linspace(10 * tau_w, 40 * tau_w, 8)
         moments = action_moments(harmonic_run, grid, 2)
-        orders = stochastic_epsilons(moments, 2)
+        orders = stochastic_epsilons(moments)
         combined = math.hypot(orders[0].std_error, est.std_error)
         assert abs(orders[0].mean - est.mean) < 3 * combined
 
@@ -408,17 +423,31 @@ class TestStochasticEpsilons:
         tau_w = integral.autocorr_time
         grid = np.linspace(10 * tau_w, 40 * tau_w, 8)
         moments = action_moments(harmonic_run, grid, 2)
-        orders = stochastic_epsilons(moments, 2)
+        orders = stochastic_epsilons(moments)
         combined = math.hypot(orders[1].std_error, integral.std_error)
         assert abs(orders[1].mean - integral.mean) < 3 * combined
         assert abs(orders[1].mean - EPS2_TARGET) < 3 * orders[1].std_error
+
+    def test_lower_order_is_a_truncation(self, harmonic_run):
+        # a moment of order n depends on no higher order, so fitting every order the moments hold drops no choice
+        grid = np.linspace(4.0, 16.0, 6)  # gamma_3 stays linear here, so the order-3 fit raises nothing
+        low, high = action_moments(harmonic_run, grid, 2), action_moments(harmonic_run, grid, 3)
+        assert np.array_equal(low.lam, high.lam[:, :3])
+        assert np.array_equal(low.errors, high.errors[:, :3])
+        assert np.array_equal(low.batch_lambdas, high.batch_lambdas[:, :, :3])
+        low_orders, high_orders = stochastic_epsilons(low), stochastic_epsilons(high)
+        assert (len(low_orders), len(high_orders)) == (2, 3)
+        for a, b in zip(low_orders, high_orders):
+            assert (a.mean, a.std_error) == (b.mean, b.std_error)
+            assert np.array_equal(a.fit["tau_grid"], b.fit["tau_grid"])
+            assert [a.fit[k] for k in ("slope", "intercept", "r2")] == [b.fit[k] for k in ("slope", "intercept", "r2")]
 
     def test_high_order_gate(self, harmonic_run):
         grid = [1.0, 2.0, 3.0, 4.0]
         moments = action_moments(harmonic_run, grid, 4)
         with pytest.raises(ValueError, match="allow_high_orders"):
-            stochastic_epsilons(moments, 4)
-        orders = stochastic_epsilons(moments, 4, allow_high_orders=True)
+            stochastic_epsilons(moments)
+        orders = stochastic_epsilons(moments, allow_high_orders=True)
         assert len(orders) == 4
 
     def test_nonlinearity_detection(self):
@@ -438,18 +467,18 @@ class TestStochasticEpsilons:
             step=0.01,
         )
         with pytest.raises(NonLinearityError):
-            stochastic_epsilons(moments, 2)
+            stochastic_epsilons(moments)
 
     def test_grid_size_guard(self):
         s = LocalEnergySeries(values=np.full(6000, 0.5), step=0.25, burn_in=0)
         moments = action_moments(s, [2.0, 4.0, 6.0], 2)
         with pytest.raises(ValueError):
-            stochastic_epsilons(moments, 2)
+            stochastic_epsilons(moments)
 
     def test_diagnostics_payload(self, harmonic_run):
         grid = np.linspace(4.0, 16.0, 6)
         moments = action_moments(harmonic_run, grid, 2)
-        orders = stochastic_epsilons(moments, 2)
+        orders = stochastic_epsilons(moments)
         assert len(orders) == 2
         for order, est in enumerate(orders, start=1):
             assert set(est.fit) == {"tau_grid", "slope", "intercept", "r2"}

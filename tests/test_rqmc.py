@@ -175,13 +175,7 @@ class TestMoveKernel:
     def test_rigged_constant_w_always_accepts(self):
         # new link action equals the removed one, so every dS is exactly 0
         rng = derive_rng(6, "move")
-        sampler = ReptationSampler.from_functions(
-            w_fn=lambda s: 0.37,
-            propose_fn=lambda rng_, end: end + rng_.normal(),
-            beads=[0.0, 0.1, 0.2],
-            epsilon=0.7,
-            rng=rng,
-        )
+        sampler = function_sampler(lambda s: 0.37, lambda rng_, end: end + rng_.normal(), [0.0, 0.1, 0.2], 0.7, rng)
         before = sampler.reptile.total_action
         for _ in range(300):
             assert sampler.move()
@@ -191,13 +185,7 @@ class TestMoveKernel:
     def test_bounce_flips_direction_on_rejection(self):
         # proposed beads carry an enormous W, so rejection is certain
         rng = derive_rng(7, "move")
-        sampler = ReptationSampler.from_functions(
-            w_fn=lambda s: 1e7 * float(s),
-            propose_fn=lambda rng_, end: end + 1,
-            beads=[0, 0, 0],
-            epsilon=0.7,
-            rng=rng,
-        )
+        sampler = function_sampler(lambda s: 1e7 * float(s), lambda rng_, end: end + 1, [0, 0, 0], 0.7, rng)
         assert sampler.reptile.direction == 1
         assert not sampler.move()
         assert sampler.reptile.direction == -1
@@ -209,24 +197,11 @@ class TestMoveKernel:
     def test_policy_validated(self):
         rng = derive_rng(8, "move")
         with pytest.raises(ValueError, match="direction policy"):
-            ReptationSampler.from_functions(
-                w_fn=lambda s: 0.0,
-                propose_fn=lambda rng_, end: end,
-                beads=[0.0, 1.0],
-                epsilon=0.1,
-                rng=rng,
-                direction_policy="diagonal",
-            )
+            function_sampler(lambda s: 0.0, lambda rng_, end: end, [0.0, 1.0], 0.1, rng, "diagonal")
 
     def test_move_alias_drives_sampler(self):
         rng = derive_rng(9, "move")
-        sampler = ReptationSampler.from_functions(
-            w_fn=lambda s: 0.1,
-            propose_fn=lambda rng_, end: end + rng_.normal(),
-            beads=[0.0, 1.0, 2.0],
-            epsilon=0.1,
-            rng=rng,
-        )
+        sampler = function_sampler(lambda s: 0.1, lambda rng_, end: end + rng_.normal(), [0.0, 1.0, 2.0], 0.1, rng)
         assert sampler.move() is True
         assert sampler.moves_proposed == 1
 
@@ -306,13 +281,13 @@ class TestToyBalance:
     def test_sampler_reproduces_stationary_distribution(self):
         _, index = ToyChain.kernel()
         rng = derive_rng(314, "toy")
-        sampler = ReptationSampler.from_functions(
-            w_fn=lambda s: float(ToyChain.w_table[int(s)]),
-            propose_fn=lambda rng_, end: int(rng_.integers(ToyChain.n_sites)),
-            beads=[0, 1, 2],
-            epsilon=ToyChain.epsilon,
-            rng=rng,
-            direction_policy="random",
+        sampler = function_sampler(
+            lambda s: float(ToyChain.w_table[int(s)]),
+            lambda rng_, end: int(rng_.integers(ToyChain.n_sites)),
+            [0, 1, 2],
+            ToyChain.epsilon,
+            rng,
+            "random",
         )
         counts = np.zeros(len(index))
         n_moves = 300_000
@@ -442,12 +417,8 @@ class TestAdaptiveBurnIn:
     def test_warns_when_never_stabilizing(self):
         counter = itertools.count()
         rng = derive_rng(4, "adapt")
-        sampler = ReptationSampler.from_functions(
-            w_fn=lambda s: 0.1 * next(counter),
-            propose_fn=lambda rng_, end: end + rng_.normal(),
-            beads=[0.0, 1.0, 2.0],
-            epsilon=0.1,
-            rng=rng,
+        sampler = function_sampler(
+            lambda s: 0.1 * next(counter), lambda rng_, end: end + rng_.normal(), [0.0, 1.0, 2.0], 0.1, rng
         )
         with pytest.warns(UserWarning, match="burn-in"):
             burned = adaptive_burn_in(sampler, window=10, max_windows=3)
@@ -558,16 +529,22 @@ def reference_init_reptile(trial, pot, n_beads, eps, rng, equilibration_steps):
     return positions, local_energy(trial, pot, positions)
 
 
+def function_sampler(w_fn, propose, beads, eps, rng, policy="bounce"):
+    """The creep kernel over arbitrary states: propose(rng, bead) is the step, and draw hands it the rng."""
+    reptile = Reptile(beads, [float(w_fn(b)) for b in beads], eps)
+    return ReptationSampler(reptile, w_fn, lambda bead, r: propose(r, bead), lambda: rng, rng, direction_policy=policy)
+
+
 def numpy_sampler(trial, pot, beads, eps, rng, policy):
     """The creep kernel on numpy W and the numpy Langevin proposal."""
     sqrt_eps = math.sqrt(eps)
-    return ReptationSampler.from_functions(
-        w_fn=lambda pos: float(local_energy(trial, pot, pos)),
-        propose_fn=lambda rng_, end: end + (0.5 * eps) * drift(trial, end) + rng_.normal(0.0, sqrt_eps, size=end.shape),
-        beads=beads,
-        epsilon=eps,
-        rng=rng,
-        direction_policy=policy,
+    return function_sampler(
+        lambda pos: float(local_energy(trial, pot, pos)),
+        lambda rng_, end: end + (0.5 * eps) * drift(trial, end) + rng_.normal(0.0, sqrt_eps, size=end.shape),
+        beads,
+        eps,
+        rng,
+        policy,
     )
 
 
@@ -710,7 +687,7 @@ class TestMoveLoop:
     def test_n_moves_equal_one_sweep(self, kind, policy):
         trial, pot = KERNEL_SYSTEMS["quartic"]
         if kind == "numpy":
-            trial = walker.CallableTrial(trial.log_value, trial.gradient_log, trial.laplacian_log, dim=1)
+            trial = wrap_generic(trial)
         samplers = []
         for _ in range(2):
             rng = derive_rng(41, policy)

@@ -127,7 +127,7 @@ class TestOrdinaryBell:
 class TestLambdaNaughts:
     def test_order_1(self):
         lam, lamdot = lambda_naughts(1)
-        assert lam == GExpression.zero()
+        assert lam == GExpression()
         assert lamdot == g(1)
 
     def test_order_2(self):
@@ -148,7 +148,7 @@ class TestLambdaNaughts:
 class TestGammaNaughts:
     def test_order_1_empty_cache(self):
         gamma, gammadot = gamma_naughts(1, {})
-        assert gamma == GExpression.zero()
+        assert gamma == GExpression()
         assert gammadot == g(1)
 
     def test_order_2_matches_lambda(self):
@@ -256,4 +256,4 @@ class TestRenderSumOverStates:
         assert "h_1(1/E_k)" in text
 
     def test_zero(self):
-        assert render_sum_over_states(GExpression.zero()) == "0"
+        assert render_sum_over_states(GExpression()) == "0"

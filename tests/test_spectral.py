@@ -15,7 +15,6 @@ from sptqmc.spectral import (
     ModelValidationError,
     SpectralModel,
     build_anharmonic_model,
-    complete_homogeneous,
     evaluate_epsilons,
     evaluate_lambdas,
     g_value,
@@ -27,6 +26,7 @@ from sptqmc.spectral import (
     rs_oracle,
     taylor_oracle,
 )
+from spectral_reference import complete_homogeneous
 
 # Quartic oscillator H = p^2/2 + x^2/2 + g x^4: E_0 = 1/2 + sum_n c_n g^n with
 # the Bender-Wu coefficients c_n (Phys. Rev. 184, 1231, 1969).

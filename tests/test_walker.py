@@ -17,7 +17,6 @@ from scipy import integrate, stats
 
 from sptqmc.walker import (
     _SCAN_ROWS,
-    CallableTrial,
     DoubleWellPotential,
     GaussianTrial,
     HarmonicPotential,
@@ -31,7 +30,7 @@ from sptqmc.walker import (
     sample_local_energy_series,
     scalar_langevin,
 )
-from walker_reference import auxiliary_potential, init_walker, langevin_step, wrap_generic
+from walker_reference import FLAT_TRIAL, auxiliary_potential, init_walker, langevin_step, wrap_generic
 
 
 class TestDrift:
@@ -142,16 +141,10 @@ class TestLangevinStep:
             )
 
     def test_pure_diffusion_moments(self):
-        flat = CallableTrial(
-            log_value=lambda r: np.zeros(r.shape[:-1]),
-            gradient_log=lambda r: np.zeros_like(r),
-            laplacian_log=lambda r: np.zeros(r.shape[:-1]),
-            dim=1,
-        )
         eps = 0.01
         rng = np.random.default_rng(8)
         n = 100_000
-        state = init_walker(flat, HarmonicPotential(), [0.0], epsilon=eps, rng=rng)
+        state = init_walker(FLAT_TRIAL, HarmonicPotential(), [0.0], epsilon=eps, rng=rng)
         displacements = np.empty(n)
         for i in range(n):
             before = state.position[0]
@@ -229,13 +222,7 @@ class TestTransitionDensity:
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_symmetry_without_drift(self):
-        flat = CallableTrial(
-            log_value=lambda r: np.zeros(r.shape[:-1]),
-            gradient_log=lambda r: np.zeros_like(r),
-            laplacian_log=lambda r: np.zeros(r.shape[:-1]),
-            dim=1,
-        )
-        state = init_walker(flat, HarmonicPotential(), [0.0], epsilon=0.1)
+        state = init_walker(FLAT_TRIAL, HarmonicPotential(), [0.0], epsilon=0.1)
         a, b = np.array([0.3]), np.array([-0.9])
         assert math.exp(log_transition_density(state.trial, state.epsilon, a, b)) == pytest.approx(
             math.exp(log_transition_density(state.trial, state.epsilon, b, a)), rel=1e-12

@@ -5,22 +5,31 @@ for walker.langevin_kernel's step(bead, z) in both bead forms: the float
 closures of walker.scalar_langevin, the numpy step, and the creep kernel
 built on them must round as this walker does, step for step, and draw
 the same random stream.  auxiliary_potential is the Veff of the identity
-W = V - Veff that the local-energy tests check, and wrap_generic hides a
-Gaussian trial from the float kernel, so that the same system runs on
-numpy beads.
+W = V - Veff that the local-energy tests check.  A trial is any object
+with log_value, gradient_log, laplacian_log and dim: wrap_generic hides a
+Gaussian trial from the float kernel in such a plain object, so that the
+same system runs on numpy beads, and FLAT_TRIAL has no drift at all.
 """
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from sptqmc.walker import CallableTrial, GaussianTrial, drift, local_energy
+from sptqmc.walker import GaussianTrial, drift, local_energy
+
+FLAT_TRIAL = SimpleNamespace(
+    log_value=lambda r: np.zeros(r.shape[:-1]),
+    gradient_log=lambda r: np.zeros_like(r),
+    laplacian_log=lambda r: np.zeros(r.shape[:-1]),
+    dim=1,
+)
 
 
-def wrap_generic(trial: GaussianTrial) -> CallableTrial:
+def wrap_generic(trial: GaussianTrial) -> SimpleNamespace:
     """Same trial, but hidden from the fast-path type check."""
-    return CallableTrial(
+    return SimpleNamespace(
         log_value=trial.log_value,
         gradient_log=trial.gradient_log,
         laplacian_log=trial.laplacian_log,
