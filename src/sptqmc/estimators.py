@@ -28,7 +28,7 @@ from .errors import NonLinearityError, SeriesTooShortError, WindowSelectionError
 DEFAULT_MAX_STOCHASTIC_ORDER = 3
 _SOKAL_WINDOW = 6.0  # Sokal's window: k* is the smallest lag with k* >= _SOKAL_WINDOW * tau_int(k*)
 _N_BATCHES = 16  # contiguous batches behind the error bars of the integral and the moments
-_MIN_LINEAR_R2 = 0.99  # a gamma_n(tau) fit below this R^2, with spread above its noise, is not linear
+_MIN_LINEAR_R2 = 0.99  # a gamma_n(tau) fit below this R^2, with residuals spread above its noise, is not linear
 HIGH_ORDER_WARNING = (
     "stochastic orders above 3 are ill conditioned: the cumulant-from-moment "
     "recursion amplifies noise rapidly with order; pass allow_high_orders=True "
@@ -441,9 +441,9 @@ def stochastic_epsilons(
         else:
             weights = 1.0 / s**2
         intercept, slope, r2 = _weighted_line_fit(tau, y, weights)
-        spread = float(np.ptp(y))
+        scatter = float(np.ptp(y - (intercept + slope * tau)))  # about the line: a slope is not scatter
         noise = float(np.mean(s))
-        if r2 < _MIN_LINEAR_R2 and spread > 3.0 * noise:
+        if r2 < _MIN_LINEAR_R2 and scatter > 3.0 * noise:
             raise NonLinearityError(
                 f"gamma_{order}(tau) fit R^2 = {r2:.4f} < {_MIN_LINEAR_R2}; "
                 "tau grid is not in the asymptotic linear regime"
@@ -470,33 +470,22 @@ def stochastic_epsilons(
 
 
 def merge_estimates(estimates: list[EstimateWithError]) -> EstimateWithError:
-    """Inverse-variance merge of independent estimates of one quantity.
+    """Equal-weight merge of independent chains' estimates of one quantity.
 
-    Exact estimates (std_error 0) merge to their plain mean; exact and
-    inexact ones together raise ValueError, since no weight fits both.
+    The mean is the plain mean of the chain means and the error
+    sqrt(sum sigma_i^2)/n, which assumes chains of equal length, as cli
+    builds them; inverse-variance weights would bias the mean, because a
+    chain's error bar correlates with its estimate.  autocorr_time is the
+    chains' mean and effective_samples their sum.  Exact estimates
+    (std_error 0) merge by the same formula.
     """
     if not estimates:
         raise ValueError("nothing to merge")
     if len(estimates) == 1:
         return estimates[0]
-    exact = sum(e.std_error == 0.0 for e in estimates)
-    if exact == len(estimates):
-        return EstimateWithError(
-            mean=float(np.mean([e.mean for e in estimates])),
-            std_error=0.0,
-            autocorr_time=estimates[0].autocorr_time,
-            effective_samples=float(sum(e.effective_samples for e in estimates)),
-        )
-    if exact:
-        raise ValueError(
-            f"cannot merge {exact} exact estimates (std_error 0) with {len(estimates) - exact} inexact ones"
-        )
-    weights = np.array([1.0 / e.std_error**2 for e in estimates])
-    means = np.array([e.mean for e in estimates])
-    total = weights.sum()
     return EstimateWithError(
-        mean=float((weights * means).sum() / total),
-        std_error=float(1.0 / math.sqrt(total)),
+        mean=float(np.mean([e.mean for e in estimates])),
+        std_error=math.sqrt(sum(e.std_error**2 for e in estimates)) / len(estimates),
         autocorr_time=float(np.mean([e.autocorr_time for e in estimates])),
         effective_samples=float(sum(e.effective_samples for e in estimates)),
     )

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -554,7 +555,7 @@ class TestVmcCommand:
         chains = report["results"]["workers"]
         assert len(chains) == 3
         merged = report["results"]["energy"]
-        assert merged["err"] <= min(c["err"] for c in chains)
+        assert merged["err"] == pytest.approx(math.sqrt(sum(c["err"] ** 2 for c in chains)) / 3, rel=1e-12)
         assert merged["effective_samples"] == pytest.approx(
             sum(c["effective_samples"] for c in chains), rel=1e-9
         )
@@ -617,9 +618,8 @@ class TestVmcCommand:
 
 # sha256 of the series file and the `results` of `spt vmc` (the installed-script
 # CI config: 200,000 steps, 2 workers, seed 1) and of `spt spt-orders` reading
-# that file, recorded before the estimators and the walker freed their
-# temporaries early
-WALK_DIGEST = "eeca544a7f144eb32d2feab7155564d5ed79a57fdc879c3d5cac96fbab97560c"
+# that file, with the two vmc chains merged by equal weights
+WALK_DIGEST = "e63fc21ebf50fd97c9dfd98cb4f78754825baa9e419b7c257811b9ff675c1cb2"
 
 
 def test_walk_reports_match_digest(tmp_path):
@@ -636,6 +636,17 @@ def test_walk_reports_match_digest(tmp_path):
         "spt-orders": json.loads((tmp_path / "orders.json").read_text())["results"],
     }
     assert hashlib.sha256(json.dumps(record, sort_keys=True).encode("ascii")).hexdigest() == WALK_DIGEST
+
+
+def test_noisy_linear_gamma_3_keeps_every_order(tmp_path):
+    # gamma_3 of this chain grows linearly but fits below R^2 0.99 at 400,000 steps on most seeds;
+    # its scatter about the line stays within the noise, so no order is refused
+    (tmp_path / "orders.cfg").write_text(
+        "alpha = 1.2\nepsilon = 0.005\nsteps = 400000\nburn_in = 4000\nmax_order = 3\nworkers = 2\n"
+    )
+    out_path = tmp_path / "orders.json"
+    assert main(["spt-orders", "--config", str(tmp_path / "orders.cfg"), "--seed", "1", "--output", str(out_path)]) == 0
+    assert set(json.loads(out_path.read_text())["results"]["epsilon_n"]) == {"1", "2", "3"}
 
 
 class TestSeedPrecedence:
